@@ -46,9 +46,6 @@ class ModelTolerances:
     quad_tolerance: float = 1e-8
     eig_tolerance: float = 1e-6
     pde_tolerance: float = 1e-5
-    quotient_tolerance: float = 1e-6
-    dual_tolerance: float = 1e-7
-    trace_tolerance: float = 1e-5
     support_margin: int = 3        # grid cells kept clear of x = +-pi/2
 
 
@@ -454,33 +451,6 @@ def one_particle_map(model, v):
     phases = np.exp(-1j * np.outer(v.t_grid, om))          # (nt, K)
     coeffs = (phases * vt * wt[:, None]).sum(axis=0) / np.sqrt(2.0 * om)
     return OneParticleVector(coeffs, origin="bulk")
-
-
-def ground_state_forms(model, test_set):
-    """Covariance and symplectic form of the ground state on the real
-    2K-dimensional mode-coefficient space.
-
-    In the canonical real basis (Re c, Im c) the covariance is the identity
-    and the symplectic form is 2 Omega; the Gram of the supplied test set is
-    checked for degeneracy and a warning issued if it is rank deficient.
-    """
-    import warnings
-
-    from .phase_core import PhaseSpace, DEFAULT_TOL
-
-    if not test_set:
-        raise ShapeError("test_set must be non-empty")
-    coeffs = [one_particle_map(model, v).coeffs for v in test_set]
-    gram = np.array([[np.vdot(a, b) for b in coeffs] for a in coeffs])
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= DEFAULT_TOL.rank_tolerance * max(sv[0], 1e-300):
-        warnings.warn("test-set Gram is numerically rank deficient",
-                      stacklevel=2)
-    k = model.K
-    eye = np.eye(k)
-    zero = np.zeros((k, k))
-    omega_block = np.block([[zero, eye], [-eye, zero]])
-    return PhaseSpace(2 * k, np.eye(2 * k), 2.0 * omega_block)
 
 
 def embed_one_particle(c):

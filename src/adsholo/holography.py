@@ -5,7 +5,9 @@ growing dictionary of boundary smearings and a fixed family of bulk test
 functions into the 2K-dimensional mode-coefficient phase space of the ground
 state, and measure how well the eta-closure of the boundary span captures the
 bulk vectors.  The dictionary is a deterministic prefix stream, so ladders of
-increasing size give nested spans and exactly monotone residuals.
+increasing size give nested spans, and every rung of a ladder is a slice of
+one dictionary built at the top size.  Residuals are monotone along the ladder
+up to the relative rank cutoff of the projector.
 """
 
 from dataclasses import dataclass, field, replace
@@ -100,7 +102,7 @@ def build_plan_model(plan, validate=True):
                           perturbation=plan.perturbation, validate=validate)
 
 
-def boundary_dictionary(model, o_region, size, seed=0):
+def boundary_dictionary(model, o_region, size):
     """First `size` elements of a deterministic dyadic stream of bumps in O.
 
     Level l places 2^l mollifier bumps per interval, each optionally
@@ -132,6 +134,20 @@ def boundary_dictionary(model, o_region, size, seed=0):
                             return out
         level += 1
     return out
+
+
+def boundary_ladder(model, o_region, ladder):
+    """Embedded boundary-dual generators for each rung of the ladder.
+
+    The dictionary is built and dual-mapped once at the top size; rung s
+    holds the first s of those vectors, which are the vectors a dictionary
+    of size s would give, because the dictionary is a prefix stream.
+    """
+    fam = boundary_dictionary(model, o_region, max(ladder))
+    vecs = tuple(am.embed_one_particle(am.dual_boundary_map(model, f))
+                 for f in fam)
+    return [pc.SubspaceGenerators(vecs[:s], label="boundary")
+            for s in ladder]
 
 
 def bulk_generators(model, v_region, count, seed=0):
@@ -187,7 +203,6 @@ class InclusionRung:
     dict_size: int
     max_residual: float
     mean_residual: float
-    witness_ok: bool
 
 
 @dataclass(frozen=True)
@@ -206,13 +221,7 @@ class InclusionTable:
 
 
 def run_inclusion(plan, model=None, bulk=None):
-    """Residual ladder of the bulk generators against growing boundary spans.
-
-    The witness tolerance at each rung is widened to the rung's own residual
-    level: exact eta-orthogonality of the complement to the bulk vectors only
-    holds in the infinite-dictionary limit, so at a rung with residual r the
-    witness pairings are expected up to r.
-    """
+    """Residual ladder of the bulk generators against growing boundary spans."""
     if model is None:
         model = build_plan_model(plan)
     ps = canonical_phase_space(model)
@@ -225,25 +234,17 @@ def run_inclusion(plan, model=None, bulk=None):
     bulk_gens = pc.SubspaceGenerators(tuple(bulk_vecs), label="bulk")
 
     if plan.o_region.empty or not bulk_vecs:
-        rungs = tuple(InclusionRung(s, 0.0, 0.0, True) for s in plan.ladder)
+        rungs = tuple(InclusionRung(s, 0.0, 0.0) for s in plan.ladder)
         return InclusionTable(rungs, 0.0,
                               tuple(pc.eta_norm(ps, v) for v in bulk_vecs))
 
     rungs = []
-    for size in plan.ladder:
-        fam = boundary_dictionary(model, plan.o_region, size, seed=plan.seed)
-        bd_vecs = [am.embed_one_particle(am.dual_boundary_map(model, f))
-                   for f in fam]
-        bd_gens = pc.SubspaceGenerators(tuple(bd_vecs), label="boundary")
-        probe = pc.inclusion_check(bd_gens, bulk_gens, ps, seed=plan.seed,
-                                   witness_tolerance=np.inf)
-        wtol = max(pc.DEFAULT_TOL.witness_tolerance,
-                   2.0 * probe.max_residual)
-        rep = pc.inclusion_check(bd_gens, bulk_gens, ps, seed=plan.seed,
-                                 witness_tolerance=wtol)
+    for size, bd_gens in zip(plan.ladder,
+                             boundary_ladder(model, plan.o_region,
+                                             plan.ladder)):
+        rep = pc.inclusion_check(bd_gens, bulk_gens, ps, seed=plan.seed)
         rungs.append(InclusionRung(size, rep.max_residual,
-                                   float(np.mean(rep.per_generator)),
-                                   rep.witness_ok))
+                                   float(np.mean(rep.per_generator))))
 
     return InclusionTable(tuple(rungs), _uc_reference(model, plan.o_region),
                           tuple(pc.eta_norm(ps, v) for v in bulk_vecs))
@@ -317,14 +318,8 @@ def run_weyl_convergence(plan, bulk_index=0, model=None, n_max=40,
     w = scale * w
     c_target = scale * c_target
 
-    approx = []
-    for size in plan.ladder:
-        fam = boundary_dictionary(model, plan.o_region, size, seed=plan.seed)
-        bd_vecs = [am.embed_one_particle(am.dual_boundary_map(model, f))
-                   for f in fam]
-        gens = pc.SubspaceGenerators(tuple(bd_vecs), label="boundary")
-        p = pc.eta_projector(gens, ps)
-        approx.append(p @ w)
+    approx = [pc.eta_projector(gens, ps) @ w
+              for gens in boundary_ladder(model, plan.o_region, plan.ladder)]
 
     distances = [pc.eta_norm(ps, a - w) for a in approx]
     if distances[-1] > 0.1 * pc.eta_norm(ps, w):

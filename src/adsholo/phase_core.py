@@ -279,8 +279,7 @@ def eta_norm(ps, v):
     return float(np.sqrt(max(v @ (ps.eta @ v), 0.0)))
 
 
-def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0,
-                    witness_tolerance=None):
+def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0):
     """Residuals of bulk generators against the eta-closure of the boundary span.
 
     per_generator[i] is the relative eta-norm of (1 - P_bd) applied to bulk
@@ -288,7 +287,6 @@ def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0,
     the boundary span and verifies that their eta-pairing with every bulk
     generator stays below the witness tolerance.
     """
-    wtol = tol.witness_tolerance if witness_tolerance is None else witness_tolerance
     p_bd = eta_projector(bd_gens, ps, tol)
     bulk = bulk_gens.matrix(ps.dim)
     if bulk.shape[1] == 0:
@@ -314,7 +312,7 @@ def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0,
         if nu <= tol.rank_tolerance:
             continue
         pairings = np.abs(u @ (ps.eta @ bulk))
-        bound = wtol * nu * np.array(bulk_norms)
+        bound = tol.witness_tolerance * nu * np.array(bulk_norms)
         if np.any(pairings > bound + tol.rank_tolerance):
             witness_ok = False
             break

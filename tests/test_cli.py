@@ -43,6 +43,14 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="cannot parse nu"):
             cli.parse_config_text("[model]\nnu = fast\n")
 
+    @pytest.mark.parametrize("key", [
+        "quotient_tolerance", "dual_tolerance", "trace_tolerance",
+        "rank_tolerance", "num_tolerance", "spectral_tolerance",
+        "witness_tolerance", "n_witness"])
+    def test_removed_tolerance_keys_rejected(self, key):
+        with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.parse_config_text(f"[tolerances]\n{key} = 1\n")
+
     def test_key_must_match_section(self):
         with pytest.raises(cli.ConfigError, match="unknown key 'seed'"):
             cli.parse_config_text("[model]\nseed = 3\n")
@@ -179,6 +187,23 @@ class TestRunDispatch:
         cfg = fast_cfg(perturbation="1.0:0.0:3.0")
         assert cli.run("modes", cfg, str(tmp_path)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_experiment_that_cannot_run_exit_2(self, tmp_path, capsys):
+        # a short window and a tiny ladder leave the top-rung residual too
+        # large to compress the Weyl experiment
+        cfg = fast_cfg(o="-:-0.1:0.1", ladder="2,3")
+        assert cli.run("weyl-convergence", cfg, str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("command", ["holo-inclusion",
+                                         "weyl-convergence"])
+    def test_experiments_run_on_configured_model(self, tmp_path, command):
+        # an eig_tolerance below the finite-difference agreement fails the
+        # configured model's validation, as it does for modes
+        cfg = fast_cfg(eig_tolerance=1e-15)
+        assert cli.run("modes", cfg, str(tmp_path)) == 2
+        assert cli.run(command, cfg, str(tmp_path)) == 2
 
     def test_check_all_on_small_config(self, tmp_path):
         cfg = fast_cfg(nu=0.7, k=10, n=256, n_bulk=2,

@@ -112,13 +112,11 @@ class TestRunInclusion:
         plan = dataclasses.replace(small_plan, v_region=hg.bulk_region([]))
         table = hg.run_inclusion(plan, model=small_model)
         assert all(r.max_residual == 0.0 for r in table.rungs)
-        assert all(r.witness_ok for r in table.rungs)
 
     def test_residuals_monotone_and_witnessed(self, small_plan, small_model):
         table = hg.run_inclusion(small_plan, model=small_model)
         res = [r.max_residual for r in table.rungs]
         assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
-        assert all(r.witness_ok for r in table.rungs)
         assert table.plateau < table.initial_residual
 
     def test_isotony_of_boundary_spans(self, small_model):
@@ -153,6 +151,49 @@ class TestRunInclusion:
         for r0, r1 in zip(t0.rungs, t1.rungs):
             assert r1.max_residual == pytest.approx(r0.max_residual,
                                                     abs=1e-9)
+
+
+def fresh_boundary_gens(model, o_region, size):
+    return pc.SubspaceGenerators(tuple(
+        am.embed_one_particle(am.dual_boundary_map(model, f))
+        for f in hg.boundary_dictionary(model, o_region, size)))
+
+
+class TestSharedLadder:
+    """Rungs sliced from the top-size dictionary give exactly the numbers
+    of a dictionary rebuilt at each rung size."""
+
+    def test_inclusion_residuals_match_fresh_dictionaries(self, small_plan,
+                                                          small_model):
+        table = hg.run_inclusion(small_plan, model=small_model)
+        ps = hg.canonical_phase_space(small_model)
+        bulk = pc.SubspaceGenerators(tuple(
+            am.embed_one_particle(am.one_particle_map(small_model, v))
+            for v in hg.bulk_generators(small_model, small_plan.v_region,
+                                        small_plan.n_bulk,
+                                        seed=small_plan.seed)))
+        for rung, size in zip(table.rungs, small_plan.ladder):
+            rep = pc.inclusion_check(
+                fresh_boundary_gens(small_model, small_plan.o_region, size),
+                bulk, ps, seed=small_plan.seed)
+            assert rung.max_residual == rep.max_residual
+            assert rung.mean_residual == float(np.mean(rep.per_generator))
+
+    def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
+                                                     small_model):
+        rep = hg.run_weyl_convergence(small_plan, model=small_model,
+                                      n_max=24)
+        ps = hg.canonical_phase_space(small_model)
+        target = hg.bulk_generators(small_model, small_plan.v_region,
+                                    small_plan.n_bulk,
+                                    seed=small_plan.seed)[0]
+        w = am.embed_one_particle(am.one_particle_map(small_model, target))
+        w = (0.5 / pc.eta_norm(ps, w)) * w
+        for dist, size in zip(rep.distances, small_plan.ladder):
+            p = pc.eta_projector(
+                fresh_boundary_gens(small_model, small_plan.o_region, size),
+                ps)
+            assert dist == pc.eta_norm(ps, p @ w - w)
 
 
 class TestWeylConvergence:

@@ -216,6 +216,9 @@ class TestInclusionCheck:
         bulk = pc.SubspaceGenerators((np.array([1.0, 1.0]),))
         rep = pc.inclusion_check(bd, bulk, self.ps)
         assert rep.max_residual == pytest.approx(1.0 / np.sqrt(2.0))
+        # the complement e2 pairs with the bulk vector at order 1, far
+        # above the default witness tolerance
+        assert not rep.witness_ok
 
     def test_monotone_in_boundary_span(self):
         rng = np.random.default_rng(5)
@@ -225,8 +228,7 @@ class TestInclusionCheck:
         prev = None
         for n in range(1, 7):
             rep = pc.inclusion_check(
-                pc.SubspaceGenerators(tuple(gens[:n])), bulk, ps,
-                witness_tolerance=np.inf)
+                pc.SubspaceGenerators(tuple(gens[:n])), bulk, ps)
             if prev is not None:
                 assert all(b <= a + 1e-12
                            for a, b in zip(prev, rep.per_generator))
