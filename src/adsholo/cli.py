@@ -8,7 +8,7 @@ configuration error, or an experiment that cannot run at the given settings.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,36 +26,39 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(section, default):
+    """A RunConfig field read from and echoed to config section [section]."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [model]
-    nu: float = 0.7
-    k: int = 30
-    n: int = 512
-    perturbation: str = "none"       # "amp:center:width" mollifier or "none"
-    # [regions]
-    o: str = "-:-3.3:3.3;+:-3.3:3.3"
-    v: str = "-0.5:0.5:-0.8:0.8"
-    # [experiment]
-    ladder: str = "25,50,100,200,400"
-    n_bulk: int = 10
-    seed: int = 0
-    monotonicity_slack: float = 1e-3
-    # [tolerances]
-    quad_tolerance: float = 1e-8
-    eig_tolerance: float = 1e-6
-    pde_tolerance: float = 1e-5
-    support_margin: int = 3
+    nu: float = _key("model", 0.7)
+    k: int = _key("model", 30)
+    n: int = _key("model", 512)
+    perturbation: str = _key("model", "none")  # mollifier amp:center:width
+    o: str = _key("regions", "-:-3.3:3.3;+:-3.3:3.3")
+    v: str = _key("regions", "-0.5:0.5:-0.8:0.8")
+    ladder: str = _key("experiment", "25,50,100,200,400")
+    n_bulk: int = _key("experiment", 10)
+    seed: int = _key("experiment", 0)
+    monotonicity_slack: float = _key("experiment", 1e-3)
+    quad_tolerance: float = _key("tolerances", 1e-8)
+    eig_tolerance: float = _key("tolerances", 1e-6)
+    pde_tolerance: float = _key("tolerances", 1e-5)
+    support_margin: int = _key("tolerances", 3)
 
 
-_SCHEMA = {
-    "model": {"nu": float, "k": int, "n": int, "perturbation": str},
-    "regions": {"o": str, "v": str},
-    "experiment": {"ladder": str, "n_bulk": int, "seed": int,
-                   "monotonicity_slack": float},
-    "tolerances": {"quad_tolerance": float, "eig_tolerance": float,
-                   "pde_tolerance": float, "support_margin": int},
-}
+def _schema():
+    """{section: {key: type}} in field order: the layout of config files and
+    of the config echo in every artifact."""
+    schema = {}
+    for f in fields(RunConfig):
+        schema.setdefault(f.metadata["section"], {})[f.name] = f.type
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config_text(text):
@@ -332,7 +335,8 @@ def cmd_propagator(cfg):
 
 
 def _commutator_residual(rep, op1, op2, scalar, occ_cap):
-    comm = op1.entries @ op2.entries - op2.entries @ op1.entries
+    f1, f2 = op1.entries.toarray(), op2.entries.toarray()
+    comm = f1 @ f2 - f2 @ f1
     cols = [j for j, occ in enumerate(rep.basis) if sum(occ) <= occ_cap]
     diff = comm[:, cols].copy()
     for jj, j in enumerate(cols):
@@ -480,12 +484,11 @@ def cmd_weyl_convergence(cfg):
     ok &= _check(lines, "weyl_lipschitz_r_squared [run_weyl_convergence]",
                  rep.r_squared, 0.95, ok=rep.r_squared >= 0.95)
     lines.append(f"lipschitz_constant: {_fmt(rep.lipschitz)}")
-    rows = [(s, d, cd, e) for s, d, cd, e in
-            zip(rep.dict_sizes, rep.distances, rep.compressed_distances,
-                rep.errors)]
+    rows = list(zip(rep.dict_sizes, rep.distances, rep.compressed_distances,
+                    rep.errors, rep.fock_tails))
     return ok, lines, "weyl_convergence", ("dict_size", "distance",
-                                           "compressed_distance", "error"),\
-        rows
+                                           "compressed_distance", "error",
+                                           "fock_tail"), rows
 
 
 _DISPATCH = {

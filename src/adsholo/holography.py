@@ -10,7 +10,7 @@ one dictionary built at the top size.  Residuals are monotone along the ladder
 up to the relative rank cutoff of the projector.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -256,6 +256,7 @@ class WeylReport:
     distances: tuple            # ||approximant - target||_eta, full space
     compressed_distances: tuple
     errors: tuple               # max Weyl-operator error over the state set
+    fock_tails: tuple           # max weight on the top occupation shell
     lipschitz: float
     r_squared: float
 
@@ -349,12 +350,12 @@ def run_weyl_convergence(plan, bulk_index=0, model=None, n_max=40,
     v_lim = compress(c_target)
     v_seq = [compress(c) for c in c_approx]
     comp_dist = [pc.eta_norm(ps2, v - v_lim) for v in v_seq]
-    errors = cf.strong_convergence_test(rep, kd2, ps2, v_seq, v_lim,
-                                        [vac, one])
+    errors, tails = cf.strong_convergence_test(rep, kd2, ps2, v_seq, v_lim,
+                                               [vac, one])
 
     lip, r2 = _fit_through_data(distances, errors)
     return WeylReport(tuple(plan.ladder), tuple(distances), tuple(comp_dist),
-                      tuple(errors), lip, r2)
+                      tuple(errors), tuple(tails), lip, r2)
 
 
 def nested_uc_family(model, t_halves, component_pairs=True, lat_step=0.01,

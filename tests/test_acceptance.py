@@ -188,8 +188,8 @@ def test_criterion_5_ccr_suite():
     for _ in range(5):
         v = 0.5 * rng.standard_normal(2)
         u = 0.5 * rng.standard_normal(2)
-        fv = cf.kw_field(rep, kd, ps, v).entries
-        fu = cf.kw_field(rep, kd, ps, u).entries
+        fv = cf.kw_field(rep, kd, ps, v).entries.toarray()
+        fu = cf.kw_field(rep, kd, ps, u).entries.toarray()
         comm = fv @ fu - fu @ fv
         s = float(v @ (ps.sigma @ u))
         low = [j for j, occ in enumerate(rep.basis)

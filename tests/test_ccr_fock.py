@@ -1,3 +1,6 @@
+from itertools import product
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,41 @@ class TestFockRep:
         with pytest.raises(pc.ShapeError):
             cf.fock_rep(0, 3)
 
+    @pytest.mark.parametrize("m, n_max", [(1, 1), (1, 7), (2, 5), (3, 4),
+                                          (5, 2)])
+    def test_simplex_matches_filtered_product(self, m, n_max):
+        basis = tuple(n for n in product(range(n_max + 1), repeat=m)
+                      if sum(n) <= n_max)
+        assert cf.fock_rep(m, n_max).basis == basis
+
+
+def dense_annihilation(rep, h):
+    """Reference a(h): the dense loop over basis vectors and modes."""
+    h = np.asarray(h, dtype=complex)
+    a = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for col, occ in enumerate(rep.basis):
+        for i, n_i in enumerate(occ):
+            if n_i == 0 or h[i] == 0:
+                continue
+            lowered = occ[:i] + (n_i - 1,) + occ[i + 1:]
+            a[rep.index[lowered], col] += np.sqrt(n_i) * np.conj(h[i])
+    return a
+
 
 class TestLadderOperators:
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 12), (3, 6), (6, 2)])
+    def test_sparse_equals_dense_loop(self, m, n_max):
+        rep = cf.fock_rep(m, n_max)
+        rng = np.random.default_rng(m)
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        h[0] = 0.0          # a mode with zero weight contributes no entries
+        for g in (h, np.eye(m)[-1]):
+            ref = dense_annihilation(rep, g)
+            assert np.array_equal(cf.annihilation(rep, g).entries.toarray(),
+                                  ref)
+            phi = cf.segal_field(rep, g).entries.toarray()
+            assert np.array_equal(phi, (ref + ref.conj().T) / np.sqrt(2.0))
+
     def test_one_mode_ladder_action(self):
         rep = cf.fock_rep(1, 5)
         a = cf.annihilation(rep, [1.0]).entries
@@ -48,7 +84,7 @@ class TestLadderOperators:
     def test_two_mode_commutator_norm(self):
         rep = cf.fock_rep(2, 6)
         h = np.array([1.0, 1j])
-        a = cf.annihilation(rep, h).entries
+        a = cf.annihilation(rep, h).entries.toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         cols = low_occupation_columns(rep, 5)
         for j in cols:
@@ -60,7 +96,7 @@ class TestLadderOperators:
         rep = cf.fock_rep(2, 4)
         h = np.array([0.3, -0.4j])
         a = cf.annihilation(rep, h)
-        num = a.adjoint().entries @ a.entries
+        num = (a.adjoint().entries @ a.entries).toarray()
         assert np.linalg.eigvalsh(num).min() > -1e-12
         i0 = rep.vacuum_index
         assert abs(num[i0, i0]) < 1e-14
@@ -78,8 +114,8 @@ class TestSegalField:
 
     def test_commutator_identity(self):
         rep = cf.fock_rep(1, 8)
-        f1 = cf.segal_field(rep, [1.0]).entries
-        f2 = cf.segal_field(rep, [1j]).entries
+        f1 = cf.segal_field(rep, [1.0]).entries.toarray()
+        f2 = cf.segal_field(rep, [1j]).entries.toarray()
         comm = f1 @ f2 - f2 @ f1
         for j in low_occupation_columns(rep, 6):
             col = comm[:, j].copy()
@@ -145,14 +181,59 @@ class TestWeylOperator:
             cf.weyl_operator(rep, [2.5])
 
 
+def random_block(rng, dim, k):
+    psi = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+class TestWeylApply:
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 16), (3, 8)])
+    def test_matches_dense_weyl_operator(self, m, n_max):
+        rep = cf.fock_rep(m, n_max)
+        rng = np.random.default_rng(10 + m)
+        for radius in (0.3, 1.0, 2.0):
+            h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            h *= radius / np.linalg.norm(h)
+            psis = random_block(rng, rep.dim, 3)
+            got = cf.weyl_apply(rep, h, psis)
+            want = cf.weyl_operator(rep, h).entries @ psis
+            assert np.abs(got - want).max() <= 1e-13
+            assert np.abs(cf.weyl_apply(rep, h, psis[:, 0])
+                          - want[:, 0]).max() <= 1e-13
+
+    @pytest.mark.parametrize("h", [0.5, -1.2j, 1.0 + 0.7j, 2.0, -1.2 - 1.6j])
+    def test_vacuum_is_coherent_state(self, h):
+        # W(h)|0> = exp(-|h|^2/4) sum_n alpha^n / sqrt(n!) |n>, alpha = i h/sqrt2
+        # (Cahill & Glauber 1969), on every level of the n_max = 40 cutoff
+        rep = cf.fock_rep(1, 40)
+        vac = np.zeros(rep.dim)
+        vac[rep.vacuum_index] = 1.0
+        alpha = 1j * h / np.sqrt(2.0)
+        want = np.array([np.exp(-abs(h) ** 2 / 4.0) * alpha ** n
+                         / np.sqrt(float(factorial(n))) for n in range(41)])
+        got = cf.weyl_apply(rep, [h], vac)
+        assert np.abs(got[[rep.index[(n,)] for n in range(41)]]
+                      - want).max() <= 1e-12
+
+    def test_checks_match_weyl_operator(self):
+        rep = cf.fock_rep(2, 6)
+        psi = np.zeros(rep.dim)
+        with pytest.raises(cf.CutoffUnreliableError):
+            cf.weyl_apply(rep, [2.0, 0.5], psi)
+        with pytest.raises(pc.ShapeError):
+            cf.weyl_apply(rep, [0.5], psi)
+        with pytest.raises(pc.ShapeError):
+            cf.weyl_apply(rep, [0.5, 0.0], psi[1:])
+
+
 class TestKwField:
     def test_classical_limit_commutes(self):
         # sigma = 0: full doubling, all fields commute
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 6)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries
+        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries.toarray()
+        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries.toarray()
         comm = f1 @ f2 - f2 @ f1
         cols = low_occupation_columns(rep, rep.n_max - 2)
         assert np.abs(comm[:, cols]).max() < 1e-12
@@ -161,8 +242,8 @@ class TestKwField:
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 12)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries
+        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries.toarray()
+        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries.toarray()
         comm = f1 @ f2 - f2 @ f1
         for j in low_occupation_columns(rep, 10):
             col = comm[:, j].copy()
@@ -182,8 +263,8 @@ class TestKwField:
         for _ in range(3):
             v = 0.5 * rng.standard_normal(4)
             w = 0.5 * rng.standard_normal(4)
-            fv = cf.kw_field(rep, kd, ps, v).entries
-            fw = cf.kw_field(rep, kd, ps, w).entries
+            fv = cf.kw_field(rep, kd, ps, v).entries.toarray()
+            fw = cf.kw_field(rep, kd, ps, w).entries.toarray()
             comm = fv @ fw - fw @ fv
             s = float(v @ (ps.sigma @ w))
             for j in low_occupation_columns(rep, 10):
@@ -236,15 +317,40 @@ class TestStrongConvergence:
 
     def test_constant_sequence_zero_error(self):
         v = np.array([0.5, 0.1])
-        errs = cf.strong_convergence_test(self.rep, self.kd, self.ps,
-                                          [v, v, v], v, self.psi)
+        errs, _ = cf.strong_convergence_test(self.rep, self.kd, self.ps,
+                                             [v, v, v], v, self.psi)
         assert max(errs) == 0.0
 
     def test_geometric_approach_halves_error(self):
         v = np.array([0.8, 0.0])
         seq = [(1.0 - 2.0 ** -n) * v for n in range(1, 7)]
-        errs = cf.strong_convergence_test(self.rep, self.kd, self.ps,
-                                          seq, v, self.psi)
+        errs, _ = cf.strong_convergence_test(self.rep, self.kd, self.ps,
+                                             seq, v, self.psi)
         assert all(b < a for a, b in zip(errs, errs[1:]))
         ratios = [b / a for a, b in zip(errs, errs[1:])]
         assert all(0.35 < r < 0.65 for r in ratios)
+
+    def test_fock_tail_is_top_shell_weight(self):
+        # at n_max = 3 the coherent state W(v)|0> visibly reaches the cutoff
+        rep = cf.fock_rep(1, 3)
+        vac = np.zeros(rep.dim)
+        vac[rep.vacuum_index] = 1.0
+        one = np.zeros(rep.dim)
+        one[rep.index[(1,)]] = 1.0
+        seq = [np.array([s, 0.0]) for s in (0.2, 0.6, 1.0)]
+        _, tails = cf.strong_convergence_test(rep, self.kd, self.ps, seq,
+                                              seq[-1], [vac, one])
+        for v, tail in zip(seq, tails):
+            w = cf.weyl_operator(rep, cf.kw_embedding(self.kd, v)).entries
+            top = rep.index[(3,)]
+            want = max(abs(w[top, rep.vacuum_index]) ** 2,
+                       abs(w[top, rep.index[(1,)]]) ** 2)
+            assert tail == pytest.approx(want, rel=1e-10)
+        assert all(a < b for a, b in zip(tails, tails[1:]))
+        assert tails[-1] > 1e-3
+
+    def test_fock_tail_vanishes_at_default_cutoff(self):
+        v = np.array([0.8, 0.0])
+        _, tails = cf.strong_convergence_test(self.rep, self.kd, self.ps,
+                                              [0.5 * v, v], v, self.psi)
+        assert max(tails) < 1e-30

@@ -84,6 +84,25 @@ class TestConfigValidation:
             cli.parse_config_text("[tolerances]\neig_tolerance = -1e-6\n")
 
 
+class TestSchema:
+    def test_every_field_in_exactly_one_section(self):
+        for f in dataclasses.fields(cli.RunConfig):
+            homes = [sec for sec, keys in cli._SCHEMA.items() if f.name in keys]
+            assert homes == [f.metadata["section"]], f.name
+            assert cli._SCHEMA[homes[0]][f.name] is type(f.default)
+        assert sum(map(len, cli._SCHEMA.values())) == \
+            len(dataclasses.fields(cli.RunConfig))
+
+    def test_default_echo(self):
+        assert cli.serialize_config(cli.RunConfig()) == (
+            "[model]\nnu = 0.7\nk = 30\nn = 512\nperturbation = none\n\n"
+            "[regions]\no = -:-3.3:3.3;+:-3.3:3.3\nv = -0.5:0.5:-0.8:0.8\n\n"
+            "[experiment]\nladder = 25,50,100,200,400\nn_bulk = 10\n"
+            "seed = 0\nmonotonicity_slack = 0.001\n\n"
+            "[tolerances]\nquad_tolerance = 1e-08\neig_tolerance = 1e-06\n"
+            "pde_tolerance = 1e-05\nsupport_margin = 3\n")
+
+
 class TestRoundTrip:
     def test_defaults_round_trip(self):
         cfg = cli.RunConfig()
@@ -167,6 +186,18 @@ class TestDeterminism:
         a = (tmp_path / "a" / "modes.csv").read_bytes()
         b = (tmp_path / "b" / "modes.csv").read_bytes()
         assert a == b
+
+    def test_weyl_convergence_csv_byte_identical(self, tmp_path):
+        cfg = fast_cfg(nu=0.7, k=10, n=256, n_bulk=2, ladder="10,20,40,80")
+        for d in ("a", "b"):
+            assert cli.run("weyl-convergence", cfg, str(tmp_path / d)) == 0
+        a = (tmp_path / "a" / "weyl_convergence.csv").read_bytes()
+        b = (tmp_path / "b" / "weyl_convergence.csv").read_bytes()
+        assert a == b
+        data = [l for l in a.decode().splitlines() if not l.startswith("#")]
+        assert data[0] == "dict_size,distance,compressed_distance,error," \
+            "fock_tail"
+        assert len(data) == 5
 
     def test_uc_scan_csv_byte_identical(self, tmp_path):
         cfg = fast_cfg()

@@ -206,6 +206,13 @@ class TestWeylConvergence:
         assert all(cd <= d + 1e-12 for cd, d in
                    zip(rep.compressed_distances, rep.distances))
 
+    def test_fock_tails_shrink_with_cutoff(self, small_plan, small_model):
+        tails = {n: hg.run_weyl_convergence(small_plan, model=small_model,
+                                            n_max=n).fock_tails
+                 for n in (8, 24)}
+        assert all(len(t) == len(small_plan.ladder) for t in tails.values())
+        assert 0.0 < max(tails[24]) < 1e-20 < min(tails[8])
+
     def test_fit_is_positive_slope(self, small_plan, small_model):
         rep = hg.run_weyl_convergence(small_plan, model=small_model,
                                       n_max=24)
