@@ -199,13 +199,13 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     return out
 
 
-def build_model(nu, K, N=512, perturbation=None, n_basis=None,
-                validate=True, tol=DEFAULT_MODEL_TOL):
+def build_model(nu, K, N=512, perturbation=None, validate=True,
+                tol=DEFAULT_MODEL_TOL):
     """Assemble the mode basis of the strip model.
 
     perturbation, if given, is a smooth callable W(x) supported away from the
     walls; the perturbed eigenproblem is solved by Galerkin projection on
-    n_basis unperturbed modes (default max(2K, K + 16)).
+    max(2K, K + 16) unperturbed modes.
     """
     if nu <= 0.0:
         raise BFBoundError(f"nu = {nu} violates the bound nu > 0")
@@ -233,7 +233,7 @@ def build_model(nu, K, N=512, perturbation=None, n_basis=None,
             raise InvalidPerturbationError(
                 "perturbation support touches the boundary margin")
         pert_samples = wvals
-        nb = n_basis if n_basis is not None else max(2 * K, K + 16)
+        nb = max(2 * K, K + 16)
         if N < 4 * nb:
             raise ShapeError(f"need N >= 4 n_basis (N = {N}, n_basis = {nb})")
         basis = _gegenbauer_modes(nu_plus, nb, x)

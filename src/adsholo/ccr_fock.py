@@ -2,9 +2,10 @@
 
 The one-particle space is C^m; the Fock space is truncated at total
 occupation n_max, so CCR identities hold exactly only below the cutoff.
-Ladder and field operators are sparse.  weyl_apply applies exp(i phi(h)) to
-vectors by its action (Al-Mohy & Higham 2011); weyl_operator forms the dense
-matrix exponential, kept for the checks that compare whole matrices.
+Ladder and field operators are sparse CSR matrices.  Weyl operators
+exp(i phi(h)) are never formed: weyl_apply applies one to vectors by its
+action (Al-Mohy & Higham 2011), and every Weyl identity is checked on the
+vectors it produces.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy import sparse, special
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .phase_core import ShapeError
@@ -53,15 +53,6 @@ def fock_rep(m, n_max):
     return FockRep(m, n_max, basis, index)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    rep: FockRep
-    entries: object     # scipy.sparse matrix, or np.ndarray for weyl_operator
-
-    def adjoint(self):
-        return FockOperator(self.rep, self.entries.conj().T)
-
-
 def _check_vector(rep, h, norm_cap=np.inf):
     h = np.asarray(h, dtype=complex)
     if h.shape != (rep.one_particle_dim,):
@@ -88,28 +79,22 @@ def annihilation(rep, h):
     row = np.rint((special.comb(k + room, k)
                    - special.comb(k + room - low, k)).sum(axis=1))
     data = np.sqrt(occ[col, mode]) * np.conj(h[mode])
-    return FockOperator(rep, sparse.csr_matrix(
-        (data, (row.astype(np.int64), col)), shape=(rep.dim, rep.dim)))
+    return sparse.csr_matrix(
+        (data, (row.astype(np.int64), col)), shape=(rep.dim, rep.dim))
 
 
 def segal_field(rep, h):
     """phi(h) = (a*(h) + a(h)) / sqrt(2), self-adjoint on the truncation."""
-    a = annihilation(rep, h).entries
-    return FockOperator(rep, (a + a.conj().T) / np.sqrt(2.0))
+    a = annihilation(rep, h)
+    return (a + a.conj().T) / np.sqrt(2.0)
 
 
-def weyl_operator(rep, h, norm_cap=WEYL_NORM_CAP):
-    """W(h) = exp(i phi(h)) as a dense matrix exponential."""
-    phi = segal_field(rep, _check_vector(rep, h, norm_cap)).entries
-    return FockOperator(rep, expm(1j * phi.toarray()))
-
-
-def weyl_apply(rep, h, psis, norm_cap=WEYL_NORM_CAP):
+def weyl_apply(rep, h, psis):
     """exp(i phi(h)) applied to a vector or a (dim, k) block of vectors."""
     psis = np.asarray(psis, dtype=complex)
     if psis.shape[:1] != (rep.dim,) or psis.ndim > 2:
         raise ShapeError("Fock vectors must match the representation dim")
-    phi = segal_field(rep, _check_vector(rep, h, norm_cap)).entries
+    phi = segal_field(rep, _check_vector(rep, h, WEYL_NORM_CAP))
     return expm_multiply(1j * phi, psis)
 
 
@@ -157,25 +142,23 @@ class ExpectationReport:
     abs_error: float
 
 
-def quasifree_expectation_check(rep, kd, ps, v, norm_cap=WEYL_NORM_CAP):
+def quasifree_expectation_check(rep, kd, ps, v):
     """Compare the truncated vacuum expectation of exp(i phi(v)) with the
     closed Gaussian form exp(-eta(v, v) / 2)."""
     h = kw_embedding(kd, np.asarray(v, dtype=float))
-    w = weyl_operator(rep, h, norm_cap=norm_cap)
-    i0 = rep.vacuum_index
-    lhs = complex(w.entries[i0, i0])
+    vac = np.zeros(rep.dim)
+    vac[rep.vacuum_index] = 1.0
+    lhs = complex(weyl_apply(rep, h, vac)[rep.vacuum_index])
     rhs = float(np.exp(-0.5 * (np.asarray(v) @ (ps.eta @ np.asarray(v)))))
     return ExpectationReport(lhs, rhs, abs(lhs - rhs))
 
 
-def strong_convergence_test(rep, kd, ps, v_seq, v_lim, psi_set,
-                            norm_cap=WEYL_NORM_CAP):
+def strong_convergence_test(rep, kd, ps, v_seq, v_lim, psi_set):
     """(errors, tails) per v_n: maxima over psi of ||(W(v_n) - W(v_lim)) psi||
     and of the weight W(v_n) psi puts on the top occupation shell n_max."""
     psis = np.stack([np.asarray(p, dtype=complex) for p in psi_set], axis=1)
     top = np.array(rep.basis).sum(axis=1) == rep.n_max
-    w_lim = weyl_apply(rep, kw_embedding(kd, v_lim), psis, norm_cap=norm_cap)
-    w_seq = [weyl_apply(rep, kw_embedding(kd, v), psis, norm_cap=norm_cap)
-             for v in v_seq]
+    w_lim = weyl_apply(rep, kw_embedding(kd, v_lim), psis)
+    w_seq = [weyl_apply(rep, kw_embedding(kd, v), psis) for v in v_seq]
     return ([float(np.linalg.norm(w - w_lim, axis=0).max()) for w in w_seq],
             [float((np.abs(w[top]) ** 2).sum(axis=0).max()) for w in w_seq])

@@ -77,9 +77,6 @@ DEFAULT_LADDER = (25, 50, 100, 200, 400)
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    nu: float = 0.7
-    K: int = 30
-    N: int = 512
     o_region: RegionSpec = field(default_factory=lambda: boundary_region(
         [("-", -3.3, 3.3), ("+", -3.3, 3.3)]))
     v_region: RegionSpec = field(default_factory=lambda: bulk_region(
@@ -88,18 +85,12 @@ class ExperimentPlan:
     n_bulk: int = 10
     seed: int = 0
     monotonicity_slack: float = 1e-3
-    perturbation: object = None
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.ladder, self.ladder[1:])):
             raise pc.ShapeError("ladder must be strictly increasing")
         if self.o_region.kind != "boundary" or self.v_region.kind != "bulk":
             raise pc.ShapeError("o_region must be boundary, v_region bulk")
-
-
-def build_plan_model(plan, validate=True):
-    return am.build_model(plan.nu, plan.K, plan.N,
-                          perturbation=plan.perturbation, validate=validate)
 
 
 def boundary_dictionary(model, o_region, size):
@@ -220,15 +211,10 @@ class InclusionTable:
         return self.rungs[-1].max_residual
 
 
-def run_inclusion(plan, model=None, bulk=None):
+def run_inclusion(plan, model):
     """Residual ladder of the bulk generators against growing boundary spans."""
-    if model is None:
-        model = build_plan_model(plan)
     ps = canonical_phase_space(model)
-
-    if bulk is None:
-        bulk = bulk_generators(model, plan.v_region, plan.n_bulk,
-                               seed=plan.seed)
+    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
     bulk_vecs = [am.embed_one_particle(am.one_particle_map(model, v))
                  for v in bulk]
     bulk_gens = pc.SubspaceGenerators(tuple(bulk_vecs), label="bulk")
@@ -299,23 +285,20 @@ def _fit_through_data(x, y):
     return float(coef[0]), r2
 
 
-def run_weyl_convergence(plan, bulk_index=0, model=None, n_max=40,
-                         target_eta_norm=0.5):
+def run_weyl_convergence(plan, model, n_max=40):
     """Weyl-operator convergence along the boundary approximant ladder.
 
-    The target bulk vector (rescaled to eta-norm target_eta_norm) and its
+    The first bulk generator (rescaled to eta-norm 1/2) and its
     eta-orthogonal boundary approximants are compressed to the complex plane
     spanned by the target and the dominant residual direction; the compressed
     pure-state Weyl operators are compared on the vacuum and a one-particle
     vector.
     """
-    if model is None:
-        model = build_plan_model(plan)
     ps = canonical_phase_space(model)
     bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
-    c_target = am.one_particle_map(model, bulk[bulk_index]).coeffs
+    c_target = am.one_particle_map(model, bulk[0]).coeffs
     w = am.embed_one_particle(c_target)
-    scale = target_eta_norm / pc.eta_norm(ps, w)
+    scale = 0.5 / pc.eta_norm(ps, w)
     w = scale * w
     c_target = scale * c_target
 
@@ -358,16 +341,11 @@ def run_weyl_convergence(plan, bulk_index=0, model=None, n_max=40,
                       tuple(errors), tuple(tails), lip, r2)
 
 
-def nested_uc_family(model, t_halves, component_pairs=True, lat_step=0.01,
-                     k_eff=4):
-    """sigma_min of uc_scan over a nested family of boundary regions."""
+def nested_uc_family(model, t_halves):
+    """sigma_min of uc_scan over the nested windows [-t, t] on both boundary
+    components, four modes, sampled on a lattice of step 0.01."""
     t_max = max(t_halves)
-    n = int(np.ceil(2 * t_max / lat_step)) + 1
-    lattice = -t_max + np.arange(n) * lat_step
-    out = []
-    for th in t_halves:
-        ivs = [("-", -th, th)]
-        if component_pairs:
-            ivs.append(("+", -th, th))
-        out.append(am.uc_scan(model, ivs, k_eff, lattice).sigma_min)
-    return out
+    n = int(np.ceil(2 * t_max / 0.01)) + 1
+    lattice = -t_max + np.arange(n) * 0.01
+    return [am.uc_scan(model, [("-", -th, th), ("+", -th, th)], 4,
+                       lattice).sigma_min for th in t_halves]

@@ -28,18 +28,12 @@ class PositivityViolationError(ValueError):
     """sigma is not dominated by the covariance at the requested factor."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances for double-precision Gram computations."""
-
-    rank_tolerance: float = 1e-10      # relative singular value cutoff
-    num_tolerance: float = 1e-9        # residuals of exact matrix identities
-    spectral_tolerance: float = 1e-8   # eigenvalue-of-|b| equality with 1
-    witness_tolerance: float = 1e-7    # orthocomplement witness pairing
-    n_witness: int = 32
-
-
-DEFAULT_TOL = Tolerances()
+# numerical tolerances for double-precision Gram computations
+RANK_TOLERANCE = 1e-10       # relative singular value cutoff
+NUM_TOLERANCE = 1e-9         # residuals of exact matrix identities
+SPECTRAL_TOLERANCE = 1e-8    # eigenvalue-of-|b| equality with 1
+WITNESS_TOLERANCE = 1e-7     # orthocomplement witness pairing
+N_WITNESS = 32
 
 
 def _as_matrix(a, d=None):
@@ -67,10 +61,10 @@ class PhaseSpace:
         eta = _as_matrix(self.eta, self.dim)
         sigma = _as_matrix(self.sigma, self.dim)
         scale = max(np.abs(eta).max(), 1.0)
-        if np.abs(eta - eta.T).max() > DEFAULT_TOL.num_tolerance * scale:
+        if np.abs(eta - eta.T).max() > NUM_TOLERANCE * scale:
             raise ShapeError("eta is not symmetric")
         sscale = max(np.abs(sigma).max(), 1.0)
-        if np.abs(sigma + sigma.T).max() > DEFAULT_TOL.num_tolerance * sscale:
+        if np.abs(sigma + sigma.T).max() > NUM_TOLERANCE * sscale:
             raise ShapeError("sigma is not antisymmetric")
         object.__setattr__(self, "eta", 0.5 * (eta + eta.T))
         object.__setattr__(self, "sigma", 0.5 * (sigma - sigma.T))
@@ -137,55 +131,55 @@ class InclusionReport:
     witness_ok: bool
 
 
-def _eta_eig(ps, tol):
+def _eta_eig(ps):
     w, v = np.linalg.eigh(ps.eta)
-    if w[-1] <= 0.0 or w[0] <= tol.rank_tolerance * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= RANK_TOLERANCE * w[-1]:
         raise DegenerateCovarianceError(
             f"eta eigenvalue {w[0]:.3e} below rank cutoff "
-            f"{tol.rank_tolerance * w[-1]:.3e}")
+            f"{RANK_TOLERANCE * w[-1]:.3e}")
     return w, v
 
 
-def _eta_sqrts(ps, tol):
-    w, v = _eta_eig(ps, tol)
+def _eta_sqrts(ps):
+    w, v = _eta_eig(ps)
     s = np.sqrt(w)
     return (v * s) @ v.T, (v / s) @ v.T
 
 
-def check_positivity(ps, c, tol=DEFAULT_TOL):
+def check_positivity(ps, c):
     """Check that sigma is dominated by c times the covariance norm.
 
     domination_norm is the spectral norm of eta^{-1/2} sigma eta^{-1/2};
     c = 1 corresponds to the literal Cauchy-Schwarz domination, c = 2 to
     sigma = 2 eta b with ||b|| <= 1.
     """
-    _, eta_isqrt = _eta_sqrts(ps, tol)
+    _, eta_isqrt = _eta_sqrts(ps)
     m = eta_isqrt @ ps.sigma @ eta_isqrt
     norm = float(np.linalg.norm(m, ord=2))
-    return PositivityReport(holds=norm <= c + tol.num_tolerance,
+    return PositivityReport(holds=norm <= c + NUM_TOLERANCE,
                             domination_norm=norm)
 
 
-def kahler_from_covariance(ps, tol=DEFAULT_TOL):
+def kahler_from_covariance(ps):
     """Build b, |b| and the complex structure j from (eta, sigma).
 
     On the eta-orthogonal complement of ker b, j is the polar isometry part
     of b.  On ker b, j pairs consecutive vectors of an eta-orthonormalized
     kernel basis (index order), which fixes an otherwise arbitrary choice.
     """
-    rep = check_positivity(ps, 2.0, tol)
+    rep = check_positivity(ps, 2.0)
     if not rep.holds:
         raise PositivityViolationError(
             f"domination norm {rep.domination_norm:.6f} exceeds 2")
     d = ps.dim
-    eta_sqrt, eta_isqrt = _eta_sqrts(ps, tol)
+    eta_sqrt, eta_isqrt = _eta_sqrts(ps)
     bt = 0.5 * (eta_isqrt @ ps.sigma @ eta_isqrt)
     bt = 0.5 * (bt - bt.T)
 
     mu, u = np.linalg.eigh(-bt @ bt)   # symmetric PSD, ascending
     lam = np.sqrt(np.clip(mu, 0.0, None))
     lam_max = lam[-1] if d else 0.0
-    kernel_cut = tol.rank_tolerance * max(lam_max, 1.0)
+    kernel_cut = RANK_TOLERANCE * max(lam_max, 1.0)
     in_kernel = lam <= kernel_cut
 
     n_kernel = int(np.sum(in_kernel))
@@ -228,7 +222,7 @@ def kahler_from_covariance(ps, tol=DEFAULT_TOL):
     jt = pair_q @ pair_p.T - pair_p @ pair_q.T
     bmod_t = (pair_p * pair_lambda) @ pair_p.T + (pair_q * pair_lambda) @ pair_q.T
 
-    doubling = np.abs(pair_lambda - 1.0) > tol.spectral_tolerance
+    doubling = np.abs(pair_lambda - 1.0) > SPECTRAL_TOLERANCE
     doubled_dim = 2 * int(np.sum(doubling))
 
     return KahlerData(
@@ -256,19 +250,19 @@ def kw_inner_product(kd, ps, v, w):
     return complex(v @ ew - 1j * (v @ (ps.eta @ (kd.j @ w))))
 
 
-def eta_projector(gens, ps, tol=DEFAULT_TOL):
+def eta_projector(gens, ps):
     """eta-orthogonal projector onto the span of the generators.
 
     Built from an SVD in eta-orthonormal coordinates; singular values below
-    rank_tolerance times the largest are discarded.  Empty generator lists
+    RANK_TOLERANCE times the largest are discarded.  Empty generator lists
     give the zero projector.
     """
     g = gens.matrix(ps.dim)
     if g.shape[1] == 0:
         return np.zeros((ps.dim, ps.dim))
-    eta_sqrt, eta_isqrt = _eta_sqrts(ps, tol)
+    eta_sqrt, eta_isqrt = _eta_sqrts(ps)
     u, s, _ = np.linalg.svd(eta_sqrt @ g, full_matrices=False)
-    keep = s > tol.rank_tolerance * s[0]
+    keep = s > RANK_TOLERANCE * s[0]
     ur = u[:, keep]
     q = eta_isqrt @ ur
     return q @ (ur.T @ eta_sqrt)
@@ -279,7 +273,7 @@ def eta_norm(ps, v):
     return float(np.sqrt(max(v @ (ps.eta @ v), 0.0)))
 
 
-def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0):
+def inclusion_check(bd_gens, bulk_gens, ps, seed=0):
     """Residuals of bulk generators against the eta-closure of the boundary span.
 
     per_generator[i] is the relative eta-norm of (1 - P_bd) applied to bulk
@@ -287,7 +281,7 @@ def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0):
     the boundary span and verifies that their eta-pairing with every bulk
     generator stays below the witness tolerance.
     """
-    p_bd = eta_projector(bd_gens, ps, tol)
+    p_bd = eta_projector(bd_gens, ps)
     bulk = bulk_gens.matrix(ps.dim)
     if bulk.shape[1] == 0:
         return InclusionReport(0.0, (), True)
@@ -305,15 +299,15 @@ def inclusion_check(bd_gens, bulk_gens, ps, tol=DEFAULT_TOL, seed=0):
     rng = np.random.default_rng(seed)
     witness_ok = True
     bulk_norms = [eta_norm(ps, bulk[:, i]) for i in range(bulk.shape[1])]
-    for _ in range(tol.n_witness):
+    for _ in range(N_WITNESS):
         r = rng.standard_normal(ps.dim)
         u = r - p_bd @ r
         nu = eta_norm(ps, u)
-        if nu <= tol.rank_tolerance:
+        if nu <= RANK_TOLERANCE:
             continue
         pairings = np.abs(u @ (ps.eta @ bulk))
-        bound = tol.witness_tolerance * nu * np.array(bulk_norms)
-        if np.any(pairings > bound + tol.rank_tolerance):
+        bound = WITNESS_TOLERANCE * nu * np.array(bulk_norms)
+        if np.any(pairings > bound + RANK_TOLERANCE):
             witness_ok = False
             break
 

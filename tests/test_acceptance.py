@@ -28,8 +28,8 @@ def default_plan():
 
 
 @pytest.fixture(scope="session")
-def default_model(default_plan):
-    return hg.build_plan_model(default_plan, validate=False)
+def default_model():
+    return am.build_model(0.7, 30, 512, validate=False)
 
 
 @pytest.fixture(scope="session")
@@ -107,6 +107,27 @@ def test_criterion_2_quotient_bisolution(default_model):
            f"worst residual {worst:.2e} of bound, {elapsed:.1f}s")
 
 
+def worst_boundary_dual_identity(model, rng):
+    """Largest relative gap, over 50 seeded pairs, between the boundary dual
+    paired with a bulk solution and the smeared boundary trace."""
+    worst = 0.0
+    for _ in range(50):
+        f = am.boundary_bump(model, rng.choice(["-", "+"]),
+                             rng.uniform(-1, 1), rng.uniform(0.3, 1.0),
+                             modulation=rng.uniform(0, 20),
+                             phase=rng.choice(["cos", "sin"]))
+        v = seeded_bump(model, rng)
+        c = am.one_particle_map(model, v).coeffs
+        d = am.dual_boundary_map(model, f).coeffs
+        lhs = float(np.real((d * c).sum()))
+        tr = am.boundary_trace(model, c, f.component, f.t_grid)
+        wt = np.gradient(f.t_grid)
+        rhs = float((f.samples * tr * wt).sum())
+        scale = max(abs(rhs), np.linalg.norm(d) * np.linalg.norm(c))
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
 def test_criterion_3_two_path_identities(default_model):
     model = default_model
     rng = np.random.default_rng(3)
@@ -124,25 +145,24 @@ def test_criterion_3_two_path_identities(default_model):
         rel = abs(direct - gram) / scale
         worst = max(worst, rel)
         ok &= rel <= 1e-6
-    worst_riesz = 0.0
-    for _ in range(50):
-        f = am.boundary_bump(model, rng.choice(["-", "+"]),
-                             rng.uniform(-1, 1), rng.uniform(0.3, 1.0),
-                             modulation=rng.uniform(0, 20),
-                             phase=rng.choice(["cos", "sin"]))
-        v = seeded_bump(model, rng)
-        c = am.one_particle_map(model, v).coeffs
-        d = am.dual_boundary_map(model, f).coeffs
-        lhs = float(np.real((d * c).sum()))
-        tr = am.boundary_trace(model, c, f.component, f.t_grid)
-        wt = np.gradient(f.t_grid)
-        rhs = float((f.samples * tr * wt).sum())
-        scale = max(abs(rhs), np.linalg.norm(d) * np.linalg.norm(c))
-        rel = abs(lhs - rhs) / scale
-        worst_riesz = max(worst_riesz, rel)
-        ok &= rel <= 1e-6
+    worst_riesz = worst_boundary_dual_identity(model, rng)
+    ok &= worst_riesz <= 1e-6
     report(3, "symplectic form and boundary-dual two-path identities", ok,
            f"worst rel {worst:.2e} / {worst_riesz:.2e}")
+
+
+def test_criterion_3_detects_conjugated_dual_map(default_model,
+                                                 monkeypatch):
+    # a dual map with conjugated coefficients (the wrong frequency
+    # convention) must fail the boundary-dual half of criterion 3; the
+    # ladder of criterion 6 cannot see it, because the top rungs span the
+    # whole 2K-dimensional phase space with or without the conjugation
+    dual = am.dual_boundary_map
+    monkeypatch.setattr(am, "dual_boundary_map", lambda model, f: (
+        am.OneParticleVector(np.conj(dual(model, f).coeffs))))
+    worst = worst_boundary_dual_identity(default_model,
+                                         np.random.default_rng(3))
+    assert worst > 1e-6
 
 
 def test_criterion_4_positivity_purity(default_model):
@@ -158,7 +178,8 @@ def test_criterion_4_positivity_purity(default_model):
 def test_criterion_5_ccr_suite():
     t0 = time.monotonic()
     rep = cf.fock_rep(1, 40)
-    cols = [j for j, occ in enumerate(rep.basis) if sum(occ) <= 10]
+    eye = np.eye(rep.dim)
+    e_low = eye[:, [j for j, occ in enumerate(rep.basis) if sum(occ) <= 10]]
     rng = np.random.default_rng(5)
     ok = True
     worst_weyl = 0.0
@@ -167,18 +188,17 @@ def test_criterion_5_ccr_suite():
         h2 = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
         h1 *= 0.5 / max(abs(h1), 1.0)
         h2 *= 0.5 / max(abs(h2), 1.0)
-        w1 = cf.weyl_operator(rep, [h1]).entries
-        w2 = cf.weyl_operator(rep, [h2]).entries
-        w12 = cf.weyl_operator(rep, [h1 + h2]).entries
         phase = np.exp(-0.5j * np.imag(np.conj(h1) * h2))
-        res = float(np.abs((w1 @ w2 - phase * w12)[:, cols]).max())
+        w1w2 = cf.weyl_apply(rep, [h1], cf.weyl_apply(rep, [h2], e_low))
+        w12 = cf.weyl_apply(rep, [h1 + h2], e_low)
+        res = float(np.abs(w1w2 - phase * w12).max())
         worst_weyl = max(worst_weyl, res)
         ok &= res <= 1e-6
     worst_vac = 0.0
     i0 = rep.vacuum_index
     for r in np.linspace(0.1, 1.0, 10):
-        w = cf.weyl_operator(rep, [r]).entries
-        err = abs(w[i0, i0] - np.exp(-0.25 * r * r))
+        w_vac = cf.weyl_apply(rep, [r], eye[:, i0])
+        err = abs(w_vac[i0] - np.exp(-0.25 * r * r))
         worst_vac = max(worst_vac, err)
         ok &= err <= 1e-8
     # field commutator reproduces the symplectic form
@@ -188,8 +208,8 @@ def test_criterion_5_ccr_suite():
     for _ in range(5):
         v = 0.5 * rng.standard_normal(2)
         u = 0.5 * rng.standard_normal(2)
-        fv = cf.kw_field(rep, kd, ps, v).entries.toarray()
-        fu = cf.kw_field(rep, kd, ps, u).entries.toarray()
+        fv = cf.kw_field(rep, kd, ps, v).toarray()
+        fu = cf.kw_field(rep, kd, ps, u).toarray()
         comm = fv @ fu - fu @ fv
         s = float(v @ (ps.sigma @ u))
         low = [j for j, occ in enumerate(rep.basis)

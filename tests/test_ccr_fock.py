@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adsholo import ccr_fock as cf
 from adsholo import phase_core as pc
@@ -48,6 +49,11 @@ def dense_annihilation(rep, h):
     return a
 
 
+def dense_weyl(rep, h):
+    """Reference W(h): the dense matrix exponential of i phi(h)."""
+    return expm(1j * cf.segal_field(rep, h).toarray())
+
+
 class TestLadderOperators:
     @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 12), (3, 6), (6, 2)])
     def test_sparse_equals_dense_loop(self, m, n_max):
@@ -57,14 +63,13 @@ class TestLadderOperators:
         h[0] = 0.0          # a mode with zero weight contributes no entries
         for g in (h, np.eye(m)[-1]):
             ref = dense_annihilation(rep, g)
-            assert np.array_equal(cf.annihilation(rep, g).entries.toarray(),
-                                  ref)
-            phi = cf.segal_field(rep, g).entries.toarray()
+            assert np.array_equal(cf.annihilation(rep, g).toarray(), ref)
+            phi = cf.segal_field(rep, g).toarray()
             assert np.array_equal(phi, (ref + ref.conj().T) / np.sqrt(2.0))
 
     def test_one_mode_ladder_action(self):
         rep = cf.fock_rep(1, 5)
-        a = cf.annihilation(rep, [1.0]).entries
+        a = cf.annihilation(rep, [1.0])
         for n in range(1, 6):
             col = rep.index[(n,)]
             row = rep.index[(n - 1,)]
@@ -73,7 +78,7 @@ class TestLadderOperators:
 
     def test_ccr_below_cutoff_and_cutoff_artifact(self):
         rep = cf.fock_rep(1, 3)
-        a = cf.annihilation(rep, [1.0]).entries
+        a = cf.annihilation(rep, [1.0])
         comm = a @ a.conj().T - a.conj().T @ a
         for n in range(3):
             i = rep.index[(n,)]
@@ -84,7 +89,7 @@ class TestLadderOperators:
     def test_two_mode_commutator_norm(self):
         rep = cf.fock_rep(2, 6)
         h = np.array([1.0, 1j])
-        a = cf.annihilation(rep, h).entries.toarray()
+        a = cf.annihilation(rep, h).toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         cols = low_occupation_columns(rep, 5)
         for j in cols:
@@ -96,7 +101,7 @@ class TestLadderOperators:
         rep = cf.fock_rep(2, 4)
         h = np.array([0.3, -0.4j])
         a = cf.annihilation(rep, h)
-        num = (a.adjoint().entries @ a.entries).toarray()
+        num = (a.conj().T @ a).toarray()
         assert np.linalg.eigvalsh(num).min() > -1e-12
         i0 = rep.vacuum_index
         assert abs(num[i0, i0]) < 1e-14
@@ -105,17 +110,17 @@ class TestLadderOperators:
 class TestSegalField:
     def test_zero_vector(self):
         rep = cf.fock_rep(1, 4)
-        assert np.abs(cf.segal_field(rep, [0.0]).entries).max() == 0.0
+        assert np.abs(cf.segal_field(rep, [0.0])).max() == 0.0
 
     def test_self_adjoint(self):
         rep = cf.fock_rep(2, 5)
-        f = cf.segal_field(rep, [0.4 + 0.2j, -1.0j]).entries
+        f = cf.segal_field(rep, [0.4 + 0.2j, -1.0j])
         assert np.abs(f - f.conj().T).max() < 1e-14
 
     def test_commutator_identity(self):
         rep = cf.fock_rep(1, 8)
-        f1 = cf.segal_field(rep, [1.0]).entries.toarray()
-        f2 = cf.segal_field(rep, [1j]).entries.toarray()
+        f1 = cf.segal_field(rep, [1.0]).toarray()
+        f2 = cf.segal_field(rep, [1j]).toarray()
         comm = f1 @ f2 - f2 @ f1
         for j in low_occupation_columns(rep, 6):
             col = comm[:, j].copy()
@@ -124,7 +129,7 @@ class TestSegalField:
 
     def test_vacuum_second_moment(self):
         rep = cf.fock_rep(1, 10)
-        f = cf.segal_field(rep, [1.0]).entries
+        f = cf.segal_field(rep, [1.0])
         i0 = rep.vacuum_index
         assert (f @ f)[i0, i0].real == pytest.approx(0.5)
 
@@ -132,53 +137,62 @@ class TestSegalField:
         rep = cf.fock_rep(2, 4)
         h1 = np.array([0.2 + 1j, -0.5])
         h2 = np.array([1.0, 0.3j])
-        lhs = cf.segal_field(rep, 1.7 * h1 + h2).entries
-        rhs = 1.7 * cf.segal_field(rep, h1).entries \
-            + cf.segal_field(rep, h2).entries
+        lhs = cf.segal_field(rep, 1.7 * h1 + h2)
+        rhs = 1.7 * cf.segal_field(rep, h1) + cf.segal_field(rep, h2)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def weyl_relation_residual(rep, h1, h2, phase):
+    """Largest entry of (W(h1) W(h2) - phase W(h1 + h2)) on occupations <= 10."""
+    e_low = np.eye(rep.dim)[:, low_occupation_columns(rep, 10)]
+    w12 = cf.weyl_apply(rep, [h1], cf.weyl_apply(rep, [h2], e_low))
+    return np.abs(w12 - phase * cf.weyl_apply(rep, [h1 + h2], e_low)).max()
+
+
 class TestWeylOperator:
+    """W(h) = exp(i phi(h)) through weyl_apply on blocks of basis vectors."""
+
     def test_zero_is_identity(self):
         rep = cf.fock_rep(1, 6)
-        w = cf.weyl_operator(rep, [0.0]).entries
-        assert np.abs(w - np.eye(rep.dim)).max() < 1e-14
+        eye = np.eye(rep.dim)
+        assert np.abs(cf.weyl_apply(rep, [0.0], eye) - eye).max() < 1e-14
 
     def test_parallel_displacements_compose(self):
         rep = cf.fock_rep(1, 40)
-        w1 = cf.weyl_operator(rep, [0.3]).entries
-        w2 = cf.weyl_operator(rep, [0.5]).entries
-        w12 = cf.weyl_operator(rep, [0.8]).entries
-        cols = low_occupation_columns(rep, 10)
-        assert np.abs((w1 @ w2 - w12)[:, cols]).max() < 1e-10
+        assert weyl_relation_residual(rep, 0.3, 0.5, 1.0) < 1e-10
 
     def test_weyl_relation(self):
         rep = cf.fock_rep(1, 40)
         h1, h2 = 0.4, 0.3j
-        w1 = cf.weyl_operator(rep, [h1]).entries
-        w2 = cf.weyl_operator(rep, [h2]).entries
-        w12 = cf.weyl_operator(rep, [h1 + h2]).entries
         phase = np.exp(-0.5j * np.imag(np.conj(h1) * h2))
-        cols = low_occupation_columns(rep, 10)
-        assert np.abs((w1 @ w2 - phase * w12)[:, cols]).max() < 1e-6
+        assert weyl_relation_residual(rep, h1, h2, phase) < 1e-6
+
+    def test_conjugated_phase_breaks_weyl_relation(self):
+        # the wrong sign of the symplectic phase is visible far above the
+        # 1e-6 bound of ccr-verify and criterion 5
+        rep = cf.fock_rep(1, 40)
+        h1, h2 = 0.4, 0.3j
+        phase = np.exp(-0.5j * np.imag(np.conj(h1) * h2))
+        assert weyl_relation_residual(rep, h1, h2, np.conj(phase)) > 1e-2
 
     def test_vacuum_coherent_overlap(self):
         rep = cf.fock_rep(1, 40)
-        w = cf.weyl_operator(rep, [1.0]).entries
         i0 = rep.vacuum_index
-        assert abs(w[i0, i0] - np.exp(-0.25)) < 1e-8
+        w_vac = cf.weyl_apply(rep, [1.0], np.eye(rep.dim)[:, i0])
+        assert abs(w_vac[i0] - np.exp(-0.25)) < 1e-8
 
     def test_adjoint_is_negated_argument(self):
         rep = cf.fock_rep(1, 30)
         h = 0.6 - 0.1j
-        w = cf.weyl_operator(rep, [h])
-        wm = cf.weyl_operator(rep, [-h])
-        assert np.abs(w.adjoint().entries - wm.entries).max() < cf.EXP_TOLERANCE
+        eye = np.eye(rep.dim)
+        w = cf.weyl_apply(rep, [h], eye)
+        wm = cf.weyl_apply(rep, [-h], eye)
+        assert np.abs(w.conj().T - wm).max() < cf.EXP_TOLERANCE
 
     def test_norm_cap_enforced(self):
         rep = cf.fock_rep(1, 10)
         with pytest.raises(cf.CutoffUnreliableError):
-            cf.weyl_operator(rep, [2.5])
+            cf.weyl_apply(rep, [2.5], np.zeros(rep.dim))
 
 
 def random_block(rng, dim, k):
@@ -196,7 +210,7 @@ class TestWeylApply:
             h *= radius / np.linalg.norm(h)
             psis = random_block(rng, rep.dim, 3)
             got = cf.weyl_apply(rep, h, psis)
-            want = cf.weyl_operator(rep, h).entries @ psis
+            want = dense_weyl(rep, h) @ psis
             assert np.abs(got - want).max() <= 1e-13
             assert np.abs(cf.weyl_apply(rep, h, psis[:, 0])
                           - want[:, 0]).max() <= 1e-13
@@ -215,7 +229,7 @@ class TestWeylApply:
         assert np.abs(got[[rep.index[(n,)] for n in range(41)]]
                       - want).max() <= 1e-12
 
-    def test_checks_match_weyl_operator(self):
+    def test_rejects_bad_input(self):
         rep = cf.fock_rep(2, 6)
         psi = np.zeros(rep.dim)
         with pytest.raises(cf.CutoffUnreliableError):
@@ -232,8 +246,8 @@ class TestKwField:
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 6)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries.toarray()
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries.toarray()
+        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).toarray()
+        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).toarray()
         comm = f1 @ f2 - f2 @ f1
         cols = low_occupation_columns(rep, rep.n_max - 2)
         assert np.abs(comm[:, cols]).max() < 1e-12
@@ -242,8 +256,8 @@ class TestKwField:
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 12)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).entries.toarray()
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).entries.toarray()
+        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).toarray()
+        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).toarray()
         comm = f1 @ f2 - f2 @ f1
         for j in low_occupation_columns(rep, 10):
             col = comm[:, j].copy()
@@ -263,8 +277,8 @@ class TestKwField:
         for _ in range(3):
             v = 0.5 * rng.standard_normal(4)
             w = 0.5 * rng.standard_normal(4)
-            fv = cf.kw_field(rep, kd, ps, v).entries.toarray()
-            fw = cf.kw_field(rep, kd, ps, w).entries.toarray()
+            fv = cf.kw_field(rep, kd, ps, v).toarray()
+            fw = cf.kw_field(rep, kd, ps, w).toarray()
             comm = fv @ fw - fw @ fv
             s = float(v @ (ps.sigma @ w))
             for j in low_occupation_columns(rep, 10):
@@ -341,7 +355,7 @@ class TestStrongConvergence:
         _, tails = cf.strong_convergence_test(rep, self.kd, self.ps, seq,
                                               seq[-1], [vac, one])
         for v, tail in zip(seq, tails):
-            w = cf.weyl_operator(rep, cf.kw_embedding(self.kd, v)).entries
+            w = dense_weyl(rep, cf.kw_embedding(self.kd, v))
             top = rep.index[(3,)]
             want = max(abs(w[top, rep.vacuum_index]) ** 2,
                        abs(w[top, rep.index[(1,)]]) ** 2)

@@ -229,11 +229,16 @@ class TestRunDispatch:
 
     @pytest.mark.parametrize("command", ["holo-inclusion",
                                          "weyl-convergence"])
-    def test_experiments_run_on_configured_model(self, tmp_path, command):
+    def test_experiments_run_on_configured_model(self, tmp_path, capsys,
+                                                 command):
         # an eig_tolerance below the finite-difference agreement fails the
-        # configured model's validation, as it does for modes
+        # configured model's validation; modes reports the same comparison
+        # as its own failing check
         cfg = fast_cfg(eig_tolerance=1e-15)
-        assert cli.run("modes", cfg, str(tmp_path)) == 2
+        assert cli.run("modes", cfg, str(tmp_path)) == 1
+        fails = [l for l in capsys.readouterr().out.splitlines()
+                 if l.endswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("fd_spectrum_agreement")
         assert cli.run(command, cfg, str(tmp_path)) == 2
 
     def test_check_all_on_small_config(self, tmp_path):

@@ -8,13 +8,12 @@ from adsholo import phase_core as pc
 
 @pytest.fixture(scope="module")
 def small_plan():
-    return hg.ExperimentPlan(K=12, N=256, ladder=(10, 20, 40, 80),
-                             n_bulk=4)
+    return hg.ExperimentPlan(ladder=(10, 20, 40, 80), n_bulk=4)
 
 
 @pytest.fixture(scope="module")
-def small_model(small_plan):
-    return hg.build_plan_model(small_plan, validate=False)
+def small_model():
+    return am.build_model(0.7, 12, 256, validate=False)
 
 
 class TestRegionSpec:
