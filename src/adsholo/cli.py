@@ -197,23 +197,39 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
-def model_tolerances(cfg):
-    return am.ModelTolerances(
-        quad_tolerance=cfg.quad_tolerance, eig_tolerance=cfg.eig_tolerance,
-        pde_tolerance=cfg.pde_tolerance, support_margin=cfg.support_margin)
+def checked_model(cfg):
+    """The configured model and its two checks, as (name, value, bound):
+    the quadrature Gram residual of the modes, and the largest gap between
+    the first min(k, 30) frequencies and the finite-difference oracle."""
+    perturbation = parse_perturbation(cfg.perturbation)
+    model = am.build_model(cfg.nu, cfg.k, cfg.n, perturbation=perturbation,
+                           support_margin=cfg.support_margin)
+    gram = (model.mode_values * model.wq) @ model.mode_values.T
+    ortho = float(np.abs(gram - np.eye(cfg.k)).max())
+    k_check = min(cfg.k, 30)
+    fd = am.fd_mode_frequencies(cfg.nu, k_check, 2000,
+                                perturbation=perturbation)
+    err = float(np.abs(fd - model.omegas[:k_check]).max())
+    return model, [
+        ("mode_orthonormality [one_particle quadrature Gram]", ortho,
+         cfg.quad_tolerance),
+        ("fd_spectrum_agreement [fd_mode_frequencies]", err,
+         cfg.eig_tolerance)]
 
 
-def build_cfg_model(cfg, validate=True):
-    return am.build_model(cfg.nu, cfg.k, cfg.n,
-                          perturbation=parse_perturbation(cfg.perturbation),
-                          validate=validate, tol=model_tolerances(cfg))
+def build_cfg_model(cfg):
+    """The configured model; ShapeError if either model check fails."""
+    model, checks = checked_model(cfg)
+    for name, value, bound in checks:
+        if not value <= bound:
+            raise pc.ShapeError(f"{name} {value:.3e} exceeds {bound:.1e}")
+    return model
 
 
 def effective_plan(cfg):
     return hg.ExperimentPlan(
         o_region=parse_o_region(cfg.o), v_region=parse_v_region(cfg.v),
-        ladder=parse_ladder(cfg.ladder), n_bulk=cfg.n_bulk, seed=cfg.seed,
-        monotonicity_slack=cfg.monotonicity_slack)
+        ladder=parse_ladder(cfg.ladder), n_bulk=cfg.n_bulk, seed=cfg.seed)
 
 
 # ----------------------------------------------------------------------
@@ -264,20 +280,10 @@ def _check(lines, name, value, bound, ok=None):
 
 def cmd_modes(cfg):
     lines = []
-    # validated here rather than in build_model, so a failing oracle
-    # comparison is a FAIL line, not an error
-    model = build_cfg_model(cfg, validate=False)
-    gram = (model.mode_values * model.wq) @ model.mode_values.T
-    ortho = float(np.abs(gram - np.eye(cfg.k)).max())
-    ok = _check(lines, "mode_orthonormality [one_particle quadrature Gram]",
-                ortho, cfg.quad_tolerance)
-    k_check = min(cfg.k, 30)
-    fd = am.fd_mode_frequencies(cfg.nu, k_check, 2000,
-                                perturbation=parse_perturbation(
-                                    cfg.perturbation))
-    err = float(np.abs(fd - model.omegas[:k_check]).max())
-    ok &= _check(lines, "fd_spectrum_agreement [fd_mode_frequencies]",
-                 err, cfg.eig_tolerance)
+    model, checks = checked_model(cfg)
+    ok = True
+    for check in checks:
+        ok &= _check(lines, *check)
     rows = am.export_mode_table(model)
     return ok, lines, "modes", ("k", "omega", "beta_minus", "beta_plus"), rows
 
@@ -286,9 +292,7 @@ def cmd_propagator(cfg):
     lines = []
     # the residual P u - v contains the mode-truncation error of the
     # densitized source, so this check runs at a cutoff of at least 48
-    model = am.build_model(cfg.nu, max(cfg.k, 48), cfg.n,
-                           perturbation=parse_perturbation(cfg.perturbation),
-                           validate=True, tol=model_tolerances(cfg))
+    model = build_cfg_model(replace(cfg, k=max(cfg.k, 48)))
     sig_t, sig_x = 0.3, 0.22
     v = am.bulk_bump(model, 0.0, 0.0, sig_t, sig_x, t_step=0.003,
                      n_sigma=6.8)
@@ -318,8 +322,13 @@ def cmd_propagator(cfg):
             out = out + c * (f[tuple(lo)] + f[tuple(hi)])
         return out / (12.0 * h * h)
 
-    box = np.cos(xg[2:-2]) ** 2 * (d2(u.values, dt, 0) - d2(u.values, dx, 1))
-    pu = box + model.mass * u.values[2:-2, 2:-2]
+    cos2 = np.cos(xg[2:-2]) ** 2
+    u_in = u.values[2:-2, 2:-2]
+    pu = cos2 * (d2(u.values, dt, 0) - d2(u.values, dx, 1)) \
+        + model.mass * u_in
+    perturbation = parse_perturbation(cfg.perturbation)
+    if perturbation is not None:
+        pu = pu + cos2 * perturbation(xg[2:-2]) * u_in
     tt = u.t[2:-2]
     v_plain = np.outer(np.exp(-0.5 * ((tt - 0.0) / sig_t) ** 2),
                        np.exp(-0.5 * (xg[2:-2] / sig_x) ** 2))
@@ -431,15 +440,14 @@ def cmd_kw_verify(cfg):
 
 def cmd_holo_inclusion(cfg):
     lines = []
-    plan = effective_plan(cfg)
-    table = hg.run_inclusion(plan, model=build_cfg_model(cfg))
+    table = hg.run_inclusion(effective_plan(cfg), model=build_cfg_model(cfg))
     res = [r.max_residual for r in table.rungs]
-    mono = all(b <= a + plan.monotonicity_slack
+    mono = all(b <= a + cfg.monotonicity_slack
                for a, b in zip(res, res[1:]))
     ok = _check(lines, "residual_monotone [run_inclusion]",
                 float(max((b - a for a, b in zip(res, res[1:])),
                           default=0.0)),
-                plan.monotonicity_slack, ok=mono)
+                cfg.monotonicity_slack, ok=mono)
     lines.append(f"plateau_residual: {_fmt(table.plateau)} "
                  f"(initial {_fmt(table.initial_residual)}, "
                  f"sigma_min_ref {_fmt(table.sigma_min_ref)})")
@@ -467,10 +475,10 @@ def cmd_uc_scan(cfg):
 
 def cmd_weyl_convergence(cfg):
     lines = []
-    plan = effective_plan(cfg)
-    rep = hg.run_weyl_convergence(plan, model=build_cfg_model(cfg))
+    rep = hg.run_weyl_convergence(effective_plan(cfg),
+                                  model=build_cfg_model(cfg))
     errs = rep.errors
-    dec = all(b <= a + plan.monotonicity_slack for a, b in zip(errs, errs[1:]))
+    dec = all(b <= a + cfg.monotonicity_slack for a, b in zip(errs, errs[1:]))
     ok = _check(lines, "weyl_errors_decreasing [strong_convergence_test]",
                 0.0 if dec else 1.0, 0.5, ok=dec)
     ok &= _check(lines, "weyl_final_error [strong_convergence_test]",

@@ -10,7 +10,7 @@ one dictionary built at the top size.  Residuals are monotone along the ladder
 up to the relative rank cutoff of the projector.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,13 @@ def bulk_region(rectangles):
         tuple(float(v) for v in r) for r in rectangles))
 
 
-DEFAULT_LADDER = (25, 50, 100, 200, 400)
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
-    o_region: RegionSpec = field(default_factory=lambda: boundary_region(
-        [("-", -3.3, 3.3), ("+", -3.3, 3.3)]))
-    v_region: RegionSpec = field(default_factory=lambda: bulk_region(
-        [(-0.5, 0.5, -0.8, 0.8)]))
-    ladder: tuple = DEFAULT_LADDER
-    n_bulk: int = 10
-    seed: int = 0
-    monotonicity_slack: float = 1e-3
+    o_region: RegionSpec
+    v_region: RegionSpec
+    ladder: tuple
+    n_bulk: int
+    seed: int
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.ladder, self.ladder[1:])):
@@ -200,7 +194,6 @@ class InclusionRung:
 class InclusionTable:
     rungs: tuple
     sigma_min_ref: float
-    bulk_norms: tuple
 
     @property
     def initial_residual(self):
@@ -221,19 +214,17 @@ def run_inclusion(plan, model):
 
     if plan.o_region.empty or not bulk_vecs:
         rungs = tuple(InclusionRung(s, 0.0, 0.0) for s in plan.ladder)
-        return InclusionTable(rungs, 0.0,
-                              tuple(pc.eta_norm(ps, v) for v in bulk_vecs))
+        return InclusionTable(rungs, 0.0)
 
     rungs = []
     for size, bd_gens in zip(plan.ladder,
                              boundary_ladder(model, plan.o_region,
                                              plan.ladder)):
-        rep = pc.inclusion_check(bd_gens, bulk_gens, ps, seed=plan.seed)
+        rep = pc.inclusion_check(bd_gens, bulk_gens, ps)
         rungs.append(InclusionRung(size, rep.max_residual,
                                    float(np.mean(rep.per_generator))))
 
-    return InclusionTable(tuple(rungs), _uc_reference(model, plan.o_region),
-                          tuple(pc.eta_norm(ps, v) for v in bulk_vecs))
+    return InclusionTable(tuple(rungs), _uc_reference(model, plan.o_region))
 
 
 @dataclass(frozen=True)

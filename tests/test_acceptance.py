@@ -11,6 +11,7 @@ import pytest
 
 from adsholo import ads_model as am
 from adsholo import ccr_fock as cf
+from adsholo import cli
 from adsholo import holography as hg
 from adsholo import phase_core as pc
 
@@ -24,12 +25,12 @@ def report(num, desc, ok, extra=""):
 
 @pytest.fixture(scope="session")
 def default_plan():
-    return hg.ExperimentPlan()
+    return cli.effective_plan(cli.RunConfig())
 
 
 @pytest.fixture(scope="session")
 def default_model():
-    return am.build_model(0.7, 30, 512, validate=False)
+    return cli.build_cfg_model(cli.RunConfig())
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +78,7 @@ def test_criterion_1_spectrum_closed_form():
     worst_cf = 0.0
     worst_fd = 0.0
     for nu in (0.3, 0.5, 0.7, 1.2):
-        model = am.build_model(nu, 30, 512, validate=False)
+        model = am.build_model(nu, 30, 512)
         k = np.arange(30)
         worst_cf = max(worst_cf,
                        float(np.abs(model.omegas - (nu + 0.5 + k)).max()))
@@ -228,10 +229,10 @@ def test_criterion_5_ccr_suite():
            f"comm {worst_comm:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_6_inclusion_ladder(default_plan, inclusion_run):
+def test_criterion_6_inclusion_ladder(inclusion_run):
     table, elapsed = inclusion_run
     res = [r.max_residual for r in table.rungs]
-    slack = default_plan.monotonicity_slack
+    slack = cli.RunConfig().monotonicity_slack
     monotone = all(b <= a + slack for a, b in zip(res, res[1:]))
     plateau_ok = table.plateau <= 1e-3 * table.initial_residual
     ok = monotone and plateau_ok and elapsed < 300.0

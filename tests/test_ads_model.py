@@ -222,7 +222,7 @@ class TestPropagator:
         # nu = 1/2 is the flat Dirichlet string: an independent second-order
         # leapfrog integrator of u_tt = u_xx + sec^2(x) v provides the oracle
         k_big = 200
-        m = am.build_model(0.5, k_big, 1024, validate=False)
+        m = am.build_model(0.5, k_big, 1024)
         sig_t, sig_x = 0.25, 0.1
         v = am.bulk_bump(m, 0.0, 0.0, sig_t, sig_x, n_sigma=6.0)
 

@@ -227,18 +227,23 @@ class TestRunDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    @pytest.mark.parametrize("command", ["holo-inclusion",
-                                         "weyl-convergence"])
+    @pytest.mark.parametrize("command,tolerance,check", [
+        pytest.param("holo-inclusion", {"eig_tolerance": 1e-15},
+                     "fd_spectrum_agreement", id="holo-inclusion"),
+        pytest.param("weyl-convergence", {"eig_tolerance": 1e-15},
+                     "fd_spectrum_agreement", id="weyl-convergence"),
+        pytest.param("holo-inclusion", {"quad_tolerance": 1e-30},
+                     "mode_orthonormality", id="holo-inclusion-gram")])
     def test_experiments_run_on_configured_model(self, tmp_path, capsys,
-                                                 command):
-        # an eig_tolerance below the finite-difference agreement fails the
-        # configured model's validation; modes reports the same comparison
-        # as its own failing check
-        cfg = fast_cfg(eig_tolerance=1e-15)
+                                                 command, tolerance, check):
+        # a tolerance below what the configured model achieves fails one of
+        # its two checks: modes reports it as its only FAIL line, and the
+        # experiments refuse the model with exit 2
+        cfg = fast_cfg(**tolerance)
         assert cli.run("modes", cfg, str(tmp_path)) == 1
         fails = [l for l in capsys.readouterr().out.splitlines()
                  if l.endswith("FAIL")]
-        assert len(fails) == 1 and fails[0].startswith("fd_spectrum_agreement")
+        assert len(fails) == 1 and fails[0].startswith(check)
         assert cli.run(command, cfg, str(tmp_path)) == 2
 
     def test_check_all_on_small_config(self, tmp_path):
@@ -249,3 +254,18 @@ class TestRunDispatch:
         assert {"modes.csv", "propagator.csv", "ccr_verify.csv",
                 "kw_verify.csv", "holo_inclusion.csv", "uc_scan.csv",
                 "weyl_convergence.csv"} <= names
+
+
+class TestPropagatorResidual:
+    def test_perturbed_residual_falls_with_cutoff(self):
+        # P u = v includes the potential term cos^2(x) W(x) u; without it
+        # the residual of a perturbed model stays near 0.15 at every cutoff
+        def residual(k):
+            cfg = dataclasses.replace(cli.RunConfig(), k=k,
+                                      perturbation="0.8:0.1:0.4")
+            _, lines, *_ = cli.cmd_propagator(cfg)
+            line, = [l for l in lines if l.startswith("pde_residual")]
+            return float(line.split(": ")[1].split()[0])
+
+        r48, r60 = residual(48), residual(60)
+        assert r60 < r48 < 1e-3

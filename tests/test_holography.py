@@ -1,19 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adsholo import ads_model as am
+from adsholo import cli
 from adsholo import holography as hg
 from adsholo import phase_core as pc
 
 
 @pytest.fixture(scope="module")
 def small_plan():
-    return hg.ExperimentPlan(ladder=(10, 20, 40, 80), n_bulk=4)
+    return cli.effective_plan(dataclasses.replace(
+        cli.RunConfig(), ladder="10,20,40,80", n_bulk=4))
 
 
 @pytest.fixture(scope="module")
 def small_model():
-    return am.build_model(0.7, 12, 256, validate=False)
+    return am.build_model(0.7, 12, 256)
 
 
 class TestRegionSpec:
@@ -107,7 +111,6 @@ class TestBulkGenerators:
 
 class TestRunInclusion:
     def test_empty_bulk_region_vacuous(self, small_plan, small_model):
-        import dataclasses
         plan = dataclasses.replace(small_plan, v_region=hg.bulk_region([]))
         table = hg.run_inclusion(plan, model=small_model)
         assert all(r.max_residual == 0.0 for r in table.rungs)
@@ -134,7 +137,6 @@ class TestRunInclusion:
             assert pc.eta_norm(ps, w - p2 @ w) <= 1e-9 * pc.eta_norm(ps, w)
 
     def test_time_translation_covariance(self, small_model, small_plan):
-        import dataclasses
         delta = 0.37
         plan0 = small_plan
         plan1 = dataclasses.replace(
@@ -174,7 +176,7 @@ class TestSharedLadder:
         for rung, size in zip(table.rungs, small_plan.ladder):
             rep = pc.inclusion_check(
                 fresh_boundary_gens(small_model, small_plan.o_region, size),
-                bulk, ps, seed=small_plan.seed)
+                bulk, ps)
             assert rung.max_residual == rep.max_residual
             assert rung.mean_residual == float(np.mean(rep.per_generator))
 
@@ -220,11 +222,12 @@ class TestWeylConvergence:
 
 
 class TestLadderValidation:
-    def test_rejects_nonincreasing_ladder(self):
+    def test_rejects_nonincreasing_ladder(self, small_plan):
         with pytest.raises(pc.ShapeError):
-            hg.ExperimentPlan(ladder=(10, 10, 20))
+            dataclasses.replace(small_plan, ladder=(10, 10, 20))
 
-    def test_rejects_swapped_regions(self):
+    def test_rejects_swapped_regions(self, small_plan):
         with pytest.raises(pc.ShapeError):
-            hg.ExperimentPlan(o_region=hg.bulk_region([(0, 1, 0, 0.5)]),
-                              v_region=hg.bulk_region([(0, 1, 0, 0.5)]))
+            dataclasses.replace(small_plan,
+                                o_region=hg.bulk_region([(0, 1, 0, 0.5)]),
+                                v_region=hg.bulk_region([(0, 1, 0, 0.5)]))

@@ -203,22 +203,19 @@ class TestInclusionCheck:
     def test_empty_bulk_vacuous(self):
         rep = pc.inclusion_check(pc.SubspaceGenerators(()),
                                  pc.SubspaceGenerators(()), self.ps)
-        assert rep.max_residual == 0.0 and rep.witness_ok
+        assert rep.max_residual == 0.0
 
     def test_total_boundary_span(self):
         bd = pc.SubspaceGenerators(tuple(np.eye(2)))
         bulk = pc.SubspaceGenerators((np.array([0.3, -0.7]),))
         rep = pc.inclusion_check(bd, bulk, self.ps)
-        assert rep.max_residual < 1e-12 and rep.witness_ok
+        assert rep.max_residual < 1e-12
 
     def test_plane_geometry(self):
         bd = pc.SubspaceGenerators((np.array([1.0, 0.0]),))
         bulk = pc.SubspaceGenerators((np.array([1.0, 1.0]),))
         rep = pc.inclusion_check(bd, bulk, self.ps)
         assert rep.max_residual == pytest.approx(1.0 / np.sqrt(2.0))
-        # the complement e2 pairs with the bulk vector at order 1, far
-        # above the default witness tolerance
-        assert not rep.witness_ok
 
     def test_monotone_in_boundary_span(self):
         rng = np.random.default_rng(5)
