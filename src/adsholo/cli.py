@@ -117,6 +117,8 @@ def validate_config(cfg):
     ladder = parse_ladder(cfg.ladder)
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("ladder must be strictly increasing")
+    if ladder[0] < 1:
+        raise ConfigError("ladder entries must be >= 1")
     parse_o_region(cfg.o)
     parse_v_region(cfg.v)
     parse_perturbation(cfg.perturbation)
@@ -451,11 +453,11 @@ def cmd_holo_inclusion(cfg):
     lines.append(f"plateau_residual: {_fmt(table.plateau)} "
                  f"(initial {_fmt(table.initial_residual)}, "
                  f"sigma_min_ref {_fmt(table.sigma_min_ref)})")
-    rows = [(r.dict_size, r.max_residual, r.mean_residual,
+    rows = [(r.dict_size, r.max_residual, r.mean_residual, r.rank,
              table.sigma_min_ref) for r in table.rungs]
     return ok, lines, "holo_inclusion", ("dict_size", "max_residual",
-                                         "mean_residual", "sigma_min_ref"),\
-        rows
+                                         "mean_residual", "rank",
+                                         "sigma_min_ref"), rows
 
 
 def cmd_uc_scan(cfg):

@@ -3,11 +3,12 @@
 Given a boundary region O and a bulk region V, the experiments embed a
 growing dictionary of boundary smearings and a fixed family of bulk test
 functions into the 2K-dimensional mode-coefficient phase space of the ground
-state, and measure how well the eta-closure of the boundary span captures the
-bulk vectors.  The dictionary is a deterministic prefix stream, so ladders of
-increasing size give nested spans, and every rung of a ladder is a slice of
-one dictionary built at the top size.  Residuals are monotone along the ladder
-up to the relative rank cutoff of the projector.
+state, where its one-particle norm is the Euclidean one, and measure how
+well the closure of the boundary span captures the bulk vectors.  The
+dictionary is a deterministic prefix stream, so every rung of a ladder is a
+column prefix of one matrix built at the top size, and the spans are nested.
+Residuals are monotone along the ladder up to the rank cutoff of the rung's
+SVD.
 """
 
 from dataclasses import dataclass
@@ -122,17 +123,18 @@ def boundary_dictionary(model, o_region, size):
 
 
 def boundary_ladder(model, o_region, ladder):
-    """Embedded boundary-dual generators for each rung of the ladder.
+    """Orthonormal basis of the boundary span for each rung of the ladder.
 
-    The dictionary is built and dual-mapped once at the top size; rung s
-    holds the first s of those vectors, which are the vectors a dictionary
-    of size s would give, because the dictionary is a prefix stream.
+    The dictionary is dual-mapped once at the top size into the columns of
+    one 2K x max(ladder) matrix; rung s is the span basis of its first s
+    columns, the vectors a dictionary of size s would give.  An empty region
+    gives 2K x 0 bases.
     """
     fam = boundary_dictionary(model, o_region, max(ladder))
-    vecs = tuple(am.embed_one_particle(am.dual_boundary_map(model, f))
-                 for f in fam)
-    return [pc.SubspaceGenerators(vecs[:s], label="boundary")
-            for s in ladder]
+    g = np.zeros((2 * model.K, len(fam)))
+    for i, f in enumerate(fam):
+        g[:, i] = am.embed_one_particle(am.dual_boundary_map(model, f))
+    return [pc.span_basis(g[:, :s]) for s in ladder]
 
 
 def bulk_generators(model, v_region, count, seed=0):
@@ -188,6 +190,7 @@ class InclusionRung:
     dict_size: int
     max_residual: float
     mean_residual: float
+    rank: int           # numerical rank of the rung's boundary span
 
 
 @dataclass(frozen=True)
@@ -205,32 +208,33 @@ class InclusionTable:
 
 
 def run_inclusion(plan, model):
-    """Residual ladder of the bulk generators against growing boundary spans."""
-    ps = canonical_phase_space(model)
-    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
-    bulk_vecs = [am.embed_one_particle(am.one_particle_map(model, v))
-                 for v in bulk]
-    bulk_gens = pc.SubspaceGenerators(tuple(bulk_vecs), label="bulk")
+    """Residual ladder of the bulk generators against growing boundary spans.
 
-    if plan.o_region.empty or not bulk_vecs:
-        rungs = tuple(InclusionRung(s, 0.0, 0.0) for s in plan.ladder)
-        return InclusionTable(rungs, 0.0)
+    An empty O gives residual 1 for every nonzero bulk vector, an empty V
+    residual 0; sigma_min_ref is 0 for either.
+    """
+    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
+    w = np.zeros((2 * model.K, len(bulk)))
+    for i, v in enumerate(bulk):
+        w[:, i] = am.embed_one_particle(am.one_particle_map(model, v))
 
     rungs = []
-    for size, bd_gens in zip(plan.ladder,
-                             boundary_ladder(model, plan.o_region,
-                                             plan.ladder)):
-        rep = pc.inclusion_check(bd_gens, bulk_gens, ps)
-        rungs.append(InclusionRung(size, rep.max_residual,
-                                   float(np.mean(rep.per_generator))))
+    for size, u in zip(plan.ladder,
+                       boundary_ladder(model, plan.o_region, plan.ladder)):
+        r = pc.relative_residuals(u, w)
+        rungs.append(InclusionRung(size, float(r.max(initial=0.0)),
+                                   float(r.mean()) if r.size else 0.0,
+                                   u.shape[1]))
 
-    return InclusionTable(tuple(rungs), _uc_reference(model, plan.o_region))
+    vacuous = plan.o_region.empty or not bulk
+    return InclusionTable(tuple(rungs), 0.0 if vacuous
+                          else _uc_reference(model, plan.o_region))
 
 
 @dataclass(frozen=True)
 class WeylReport:
     dict_sizes: tuple
-    distances: tuple            # ||approximant - target||_eta, full space
+    distances: tuple            # ||approximant - target||, full space
     compressed_distances: tuple
     errors: tuple               # max Weyl-operator error over the state set
     fock_tails: tuple           # max weight on the top occupation shell
@@ -279,25 +283,26 @@ def _fit_through_data(x, y):
 def run_weyl_convergence(plan, model, n_max=40):
     """Weyl-operator convergence along the boundary approximant ladder.
 
-    The first bulk generator (rescaled to eta-norm 1/2) and its
-    eta-orthogonal boundary approximants are compressed to the complex plane
+    The first bulk generator (rescaled to norm 1/2) and its orthogonal
+    projections onto the boundary spans are compressed to the complex plane
     spanned by the target and the dominant residual direction; the compressed
     pure-state Weyl operators are compared on the vacuum and a one-particle
     vector.
     """
-    ps = canonical_phase_space(model)
     bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
+    if not bulk:
+        raise CompressionRankError("bulk region is empty; no target vector")
     c_target = am.one_particle_map(model, bulk[0]).coeffs
     w = am.embed_one_particle(c_target)
-    scale = 0.5 / pc.eta_norm(ps, w)
+    scale = 0.5 / np.linalg.norm(w)
     w = scale * w
     c_target = scale * c_target
 
-    approx = [pc.eta_projector(gens, ps) @ w
-              for gens in boundary_ladder(model, plan.o_region, plan.ladder)]
+    approx = [u @ (u.T @ w)
+              for u in boundary_ladder(model, plan.o_region, plan.ladder)]
 
-    distances = [pc.eta_norm(ps, a - w) for a in approx]
-    if distances[-1] > 0.1 * pc.eta_norm(ps, w):
+    distances = [float(np.linalg.norm(a - w)) for a in approx]
+    if distances[-1] > 0.1 * np.linalg.norm(w):
         raise CompressionRankError(
             f"top-rung residual {distances[-1]:.3e} too large for the "
             "convergence experiment")
@@ -323,7 +328,7 @@ def run_weyl_convergence(plan, model, n_max=40):
 
     v_lim = compress(c_target)
     v_seq = [compress(c) for c in c_approx]
-    comp_dist = [pc.eta_norm(ps2, v - v_lim) for v in v_seq]
+    comp_dist = [float(np.linalg.norm(v - v_lim)) for v in v_seq]
     errors, tails = cf.strong_convergence_test(rep, kd2, ps2, v_seq, v_lim,
                                                [vac, one])
 

@@ -3,8 +3,12 @@
 A phase space carries a strictly positive symmetric form ``eta`` (the state
 covariance) and an antisymmetric form ``sigma``.  From the pair one builds the
 operator ``b = eta^{-1} sigma / 2``, its polar parts in the eta-geometry, and a
-compatible complex structure ``j``.  Subspace geometry (projectors, inclusion
-residuals) is always measured in the Hilbert norm induced by eta.
+compatible complex structure ``j``.
+
+Subspace geometry (span bases, inclusion residuals) works on plain arrays in
+coordinates where eta is the identity, as it is for the ground state in the
+mode coordinates: the span of a generator matrix is the rank cutoff of its
+SVD, and residuals are Euclidean.
 """
 
 from dataclasses import dataclass, field
@@ -92,40 +96,9 @@ class KahlerData:
 
 
 @dataclass(frozen=True)
-class SubspaceGenerators:
-    """A finite generating family for a subspace of the phase space."""
-
-    generators: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
-        for g in gens:
-            if g.ndim != 1 or not np.all(np.isfinite(g)):
-                raise ShapeError("generators must be finite vectors")
-        object.__setattr__(self, "generators", gens)
-
-    def matrix(self, dim):
-        """Generators as columns of a dim x n matrix."""
-        if not self.generators:
-            return np.zeros((dim, 0))
-        m = np.column_stack(self.generators)
-        if m.shape[0] != dim:
-            raise ShapeError(
-                f"generators of dim {m.shape[0]} in a space of dim {dim}")
-        return m
-
-
-@dataclass(frozen=True)
 class PositivityReport:
     holds: bool
     domination_norm: float
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    max_residual: float
-    per_generator: tuple
 
 
 def _eta_eig(ps):
@@ -247,48 +220,17 @@ def kw_inner_product(kd, ps, v, w):
     return complex(v @ ew - 1j * (v @ (ps.eta @ (kd.j @ w))))
 
 
-def eta_projector(gens, ps):
-    """eta-orthogonal projector onto the span of the generators.
-
-    Built from an SVD in eta-orthonormal coordinates; singular values below
-    RANK_TOLERANCE times the largest are discarded.  Empty generator lists
-    give the zero projector.
-    """
-    g = gens.matrix(ps.dim)
-    if g.shape[1] == 0:
-        return np.zeros((ps.dim, ps.dim))
-    eta_sqrt, eta_isqrt = _eta_sqrts(ps)
-    u, s, _ = np.linalg.svd(eta_sqrt @ g, full_matrices=False)
-    keep = s > RANK_TOLERANCE * s[0]
-    ur = u[:, keep]
-    q = eta_isqrt @ ur
-    return q @ (ur.T @ eta_sqrt)
+def span_basis(g):
+    """Orthonormal d x r basis of the column span of g (d x n): the left
+    singular vectors whose singular values exceed RANK_TOLERANCE times the
+    largest.  A d x 0 input gives a d x 0 basis."""
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
+    return u[:, s > RANK_TOLERANCE * s.max(initial=0.0)]
 
 
-def eta_norm(ps, v):
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(v @ (ps.eta @ v), 0.0)))
-
-
-def inclusion_check(bd_gens, bulk_gens, ps):
-    """Residuals of bulk generators against the eta-closure of the boundary span.
-
-    per_generator[i] is the relative eta-norm of (1 - P_bd) applied to bulk
-    generator i.
-    """
-    p_bd = eta_projector(bd_gens, ps)
-    bulk = bulk_gens.matrix(ps.dim)
-    if bulk.shape[1] == 0:
-        return InclusionReport(0.0, ())
-
-    residuals = []
-    for i in range(bulk.shape[1]):
-        w = bulk[:, i]
-        nw = eta_norm(ps, w)
-        if nw == 0.0:
-            residuals.append(0.0)
-            continue
-        r = w - p_bd @ w
-        residuals.append(eta_norm(ps, r) / nw)
-
-    return InclusionReport(float(max(residuals)), tuple(residuals))
+def relative_residuals(basis, w):
+    """||w_i - U U^T w_i|| / ||w_i|| for each column w_i of w (d x n),
+    where U = basis has orthonormal columns; 0 for a zero column."""
+    norms = np.linalg.norm(w, axis=0)
+    res = np.linalg.norm(w - basis @ (basis.T @ w), axis=0)
+    return res / np.where(norms > 0, norms, 1.0)

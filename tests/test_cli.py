@@ -69,6 +69,11 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="ladder"):
             cli.parse_config_text("[experiment]\nladder = 10,10,20\n")
 
+    @pytest.mark.parametrize("ladder", ["-3,5", "0,5"])
+    def test_ladder_entries_positive(self, ladder):
+        with pytest.raises(cli.ConfigError, match="ladder entries"):
+            cli.parse_config_text(f"[experiment]\nladder = {ladder}\n")
+
     def test_bad_region_strings(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config_text("[regions]\no = left:0:1\n")
@@ -226,6 +231,28 @@ class TestRunDispatch:
         assert cli.run("weyl-convergence", cfg, str(tmp_path)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("region,message", [
+        pytest.param("o", "top-rung residual", id="empty-o"),
+        pytest.param("v", "bulk region is empty", id="empty-v")])
+    def test_weyl_convergence_empty_region_exit_2(self, tmp_path, capsys,
+                                                  region, message):
+        cfg = fast_cfg(**{region: "none"})
+        assert cli.run("weyl-convergence", cfg, str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert message in err[0]
+
+    def test_empty_boundary_region_reports_no_inclusion(self, tmp_path, capsys):
+        # no boundary observable is smeared, so no bulk vector is included
+        cfg = fast_cfg(o="none", ladder="10,20")
+        assert cli.run("holo-inclusion", cfg, str(tmp_path)) == 0
+        rows = [l.split(",") for l in (tmp_path / "holo_inclusion.csv")
+                .read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == ["dict_size", "max_residual", "mean_residual",
+                           "rank", "sigma_min_ref"]
+        assert [(float(r[1]), int(r[3])) for r in rows[1:]] == \
+            [(1.0, 0), (1.0, 0)]
 
     @pytest.mark.parametrize("command,tolerance,check", [
         pytest.param("holo-inclusion", {"eig_tolerance": 1e-15},

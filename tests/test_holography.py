@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adsholo import ads_model as am
 from adsholo import cli
@@ -115,6 +116,22 @@ class TestRunInclusion:
         table = hg.run_inclusion(plan, model=small_model)
         assert all(r.max_residual == 0.0 for r in table.rungs)
 
+    def test_empty_boundary_region_includes_nothing(self, small_plan,
+                                                    small_model):
+        plan = dataclasses.replace(small_plan,
+                                   o_region=hg.boundary_region([]))
+        table = hg.run_inclusion(plan, model=small_model)
+        assert all(r.max_residual == 1.0 and r.mean_residual == 1.0
+                   and r.rank == 0 for r in table.rungs)
+        assert table.sigma_min_ref == 0.0
+
+    def test_rank_is_span_dimension(self, small_plan, small_model):
+        table = hg.run_inclusion(small_plan, model=small_model)
+        ranks = [r.rank for r in table.rungs]
+        assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+        assert ranks[0] == small_plan.ladder[0]
+        assert ranks[-1] <= 2 * small_model.K
+
     def test_residuals_monotone_and_witnessed(self, small_plan, small_model):
         table = hg.run_inclusion(small_plan, model=small_model)
         res = [r.max_residual for r in table.rungs]
@@ -127,37 +144,42 @@ class TestRunInclusion:
         o1 = hg.boundary_region([("-", -1.0, 1.0)])
         fam1 = hg.boundary_dictionary(small_model, o1, 6)
         fam2 = hg.boundary_dictionary(small_model, o1, 24)
-        ps = hg.canonical_phase_space(small_model)
-        gens2 = pc.SubspaceGenerators(tuple(
-            am.embed_one_particle(am.dual_boundary_map(small_model, f))
-            for f in fam2))
-        p2 = pc.eta_projector(gens2, ps)
+        u2 = pc.span_basis(dual_matrix(small_model, fam2))
         for f in fam1:
             w = am.embed_one_particle(am.dual_boundary_map(small_model, f))
-            assert pc.eta_norm(ps, w - p2 @ w) <= 1e-9 * pc.eta_norm(ps, w)
+            assert np.linalg.norm(w - u2 @ (u2.T @ w)) \
+                <= 1e-9 * np.linalg.norm(w)
 
-    def test_time_translation_covariance(self, small_model, small_plan):
-        delta = 0.37
-        plan0 = small_plan
+    @given(nu=st.floats(0.3, 2.0), k=st.sampled_from([8, 12, 16]),
+           tau=st.floats(-2.0, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_time_translation_covariance(self, small_plan, nu, k, tau):
+        # shifting O and V by tau multiplies every mode coefficient by
+        # exp(-i omega tau), which preserves every residual
+        model = am.build_model(nu, k, 256)
         plan1 = dataclasses.replace(
             small_plan,
             o_region=hg.boundary_region(
-                [(c, a + delta, b + delta)
+                [(c, a + tau, b + tau)
                  for c, a, b in small_plan.o_region.intervals]),
             v_region=hg.bulk_region(
-                [(t0 + delta, t1 + delta, x0, x1)
+                [(t0 + tau, t1 + tau, x0, x1)
                  for t0, t1, x0, x1 in small_plan.v_region.rectangles]))
-        t0 = hg.run_inclusion(plan0, model=small_model)
-        t1 = hg.run_inclusion(plan1, model=small_model)
+        t0 = hg.run_inclusion(small_plan, model=model)
+        t1 = hg.run_inclusion(plan1, model=model)
         for r0, r1 in zip(t0.rungs, t1.rungs):
             assert r1.max_residual == pytest.approx(r0.max_residual,
-                                                    abs=1e-9)
+                                                    abs=1e-12)
 
 
-def fresh_boundary_gens(model, o_region, size):
-    return pc.SubspaceGenerators(tuple(
-        am.embed_one_particle(am.dual_boundary_map(model, f))
-        for f in hg.boundary_dictionary(model, o_region, size)))
+def dual_matrix(model, fam):
+    return np.column_stack([
+        am.embed_one_particle(am.dual_boundary_map(model, f)) for f in fam])
+
+
+def fresh_boundary_basis(model, o_region, size):
+    return pc.span_basis(dual_matrix(
+        model, hg.boundary_dictionary(model, o_region, size)))
 
 
 class TestSharedLadder:
@@ -167,34 +189,30 @@ class TestSharedLadder:
     def test_inclusion_residuals_match_fresh_dictionaries(self, small_plan,
                                                           small_model):
         table = hg.run_inclusion(small_plan, model=small_model)
-        ps = hg.canonical_phase_space(small_model)
-        bulk = pc.SubspaceGenerators(tuple(
+        bulk = np.column_stack([
             am.embed_one_particle(am.one_particle_map(small_model, v))
             for v in hg.bulk_generators(small_model, small_plan.v_region,
                                         small_plan.n_bulk,
-                                        seed=small_plan.seed)))
+                                        seed=small_plan.seed)])
         for rung, size in zip(table.rungs, small_plan.ladder):
-            rep = pc.inclusion_check(
-                fresh_boundary_gens(small_model, small_plan.o_region, size),
-                bulk, ps)
-            assert rung.max_residual == rep.max_residual
-            assert rung.mean_residual == float(np.mean(rep.per_generator))
+            u = fresh_boundary_basis(small_model, small_plan.o_region, size)
+            r = pc.relative_residuals(u, bulk)
+            assert rung.max_residual == float(r.max())
+            assert rung.mean_residual == float(r.mean())
+            assert rung.rank == u.shape[1]
 
     def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
                                                      small_model):
         rep = hg.run_weyl_convergence(small_plan, model=small_model,
                                       n_max=24)
-        ps = hg.canonical_phase_space(small_model)
         target = hg.bulk_generators(small_model, small_plan.v_region,
                                     small_plan.n_bulk,
                                     seed=small_plan.seed)[0]
         w = am.embed_one_particle(am.one_particle_map(small_model, target))
-        w = (0.5 / pc.eta_norm(ps, w)) * w
+        w = (0.5 / np.linalg.norm(w)) * w
         for dist, size in zip(rep.distances, small_plan.ladder):
-            p = pc.eta_projector(
-                fresh_boundary_gens(small_model, small_plan.o_region, size),
-                ps)
-            assert dist == pc.eta_norm(ps, p @ w - w)
+            u = fresh_boundary_basis(small_model, small_plan.o_region, size)
+            assert dist == np.linalg.norm(u @ (u.T @ w) - w)
 
 
 class TestWeylConvergence:

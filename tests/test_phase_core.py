@@ -154,82 +154,76 @@ class TestKwInnerProduct:
             assert abs(c - (-1j) * a) < 1e-9 * max(1.0, abs(a))
 
 
+def projector(g):
+    u = pc.span_basis(g)
+    return u @ u.T
+
+
 class TestEtaProjector:
-    def setup_method(self):
-        self.ps = pc.PhaseSpace(3, np.eye(3), np.zeros((3, 3)))
+    """The projector onto a span at eta = I: U U^T with U = span_basis."""
 
     def test_single_vector(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        p = pc.eta_projector(pc.SubspaceGenerators((e1,)), self.ps)
-        assert np.allclose(p, np.outer(e1, e1))
+        e1 = np.array([[1.0], [0.0], [0.0]])
+        assert np.allclose(projector(e1), e1 @ e1.T)
 
     def test_dependent_generators_collapse(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        p1 = pc.eta_projector(pc.SubspaceGenerators((e1,)), self.ps)
-        p2 = pc.eta_projector(pc.SubspaceGenerators((e1, 2.0 * e1)), self.ps)
-        assert np.allclose(p1, p2)
+        u = pc.span_basis(np.column_stack([e1, 2.0 * e1]))
+        assert u.shape == (3, 1)
+        assert np.allclose(u @ u.T, projector(e1[:, None]))
 
     def test_full_span_is_identity(self):
-        gens = pc.SubspaceGenerators(tuple(np.eye(3)))
-        assert np.allclose(pc.eta_projector(gens, self.ps), np.eye(3))
+        assert np.allclose(projector(np.eye(3)), np.eye(3))
 
     def test_empty_is_zero(self):
-        p = pc.eta_projector(pc.SubspaceGenerators(()), self.ps)
-        assert np.array_equal(p, np.zeros((3, 3)))
+        u = pc.span_basis(np.zeros((3, 0)))
+        assert u.shape == (3, 0)
+        assert np.array_equal(u @ u.T, np.zeros((3, 3)))
 
     def test_recombination_invariance(self):
         rng = np.random.default_rng(3)
-        ps = random_phase_space(rng, 5)
         g = rng.standard_normal((5, 3))
         m = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        p1 = pc.eta_projector(pc.SubspaceGenerators(tuple(g.T)), ps)
-        p2 = pc.eta_projector(pc.SubspaceGenerators(tuple((g @ m).T)), ps)
-        assert np.abs(p1 - p2).max() < 1e-9
+        assert np.abs(projector(g) - projector(g @ m)).max() < 1e-9
 
-    def test_eta_selfadjoint_idempotent(self):
+    def test_orthonormal_columns(self):
         rng = np.random.default_rng(11)
-        ps = random_phase_space(rng, 6)
-        g = rng.standard_normal((6, 3))
-        p = pc.eta_projector(pc.SubspaceGenerators(tuple(g.T)), ps)
-        assert np.abs(p @ p - p).max() < 1e-9
-        m = ps.eta @ p
-        assert np.abs(m - m.T).max() < 1e-9
+        u = pc.span_basis(rng.standard_normal((6, 3)))
+        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-9
 
 
 class TestInclusionCheck:
-    def setup_method(self):
-        self.ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
+    """Inclusion residuals at eta = I: relative_residuals."""
 
     def test_empty_bulk_vacuous(self):
-        rep = pc.inclusion_check(pc.SubspaceGenerators(()),
-                                 pc.SubspaceGenerators(()), self.ps)
-        assert rep.max_residual == 0.0
+        r = pc.relative_residuals(np.zeros((2, 0)), np.zeros((2, 0)))
+        assert r.shape == (0,)
+
+    def test_empty_boundary_span_excludes_everything(self):
+        w = np.array([[0.3, 0.0], [-0.7, 0.0]])
+        r = pc.relative_residuals(pc.span_basis(np.zeros((2, 0))), w)
+        assert list(r) == [1.0, 0.0]
 
     def test_total_boundary_span(self):
-        bd = pc.SubspaceGenerators(tuple(np.eye(2)))
-        bulk = pc.SubspaceGenerators((np.array([0.3, -0.7]),))
-        rep = pc.inclusion_check(bd, bulk, self.ps)
-        assert rep.max_residual < 1e-12
+        r = pc.relative_residuals(pc.span_basis(np.eye(2)),
+                                  np.array([[0.3], [-0.7]]))
+        assert r.max() < 1e-12
 
     def test_plane_geometry(self):
-        bd = pc.SubspaceGenerators((np.array([1.0, 0.0]),))
-        bulk = pc.SubspaceGenerators((np.array([1.0, 1.0]),))
-        rep = pc.inclusion_check(bd, bulk, self.ps)
-        assert rep.max_residual == pytest.approx(1.0 / np.sqrt(2.0))
+        r = pc.relative_residuals(pc.span_basis(np.array([[1.0], [0.0]])),
+                                  np.array([[1.0], [1.0]]))
+        assert r.max() == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_monotone_in_boundary_span(self):
         rng = np.random.default_rng(5)
-        ps = random_phase_space(rng, 8)
-        bulk = pc.SubspaceGenerators(tuple(rng.standard_normal((3, 8))))
-        gens = [rng.standard_normal(8) for _ in range(6)]
+        bulk = rng.standard_normal((8, 3))
+        gens = rng.standard_normal((8, 6))
         prev = None
         for n in range(1, 7):
-            rep = pc.inclusion_check(
-                pc.SubspaceGenerators(tuple(gens[:n])), bulk, ps)
+            r = pc.relative_residuals(pc.span_basis(gens[:, :n]), bulk)
             if prev is not None:
-                assert all(b <= a + 1e-12
-                           for a, b in zip(prev, rep.per_generator))
-            prev = rep.per_generator
+                assert all(b <= a + 1e-12 for a, b in zip(prev, r))
+            prev = r
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5).map(lambda k: 2 * k))
