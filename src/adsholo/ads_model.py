@@ -512,18 +512,6 @@ def boundary_trace(model, coeffs, component, t_grid):
     return np.real(np.exp(-1j * np.outer(t_grid, om)) @ amp)
 
 
-def solution_representative(model, coeffs, t_grid, x=None):
-    """Re sum_k (2 omega_k)^{-1/2} phi_k(x) e^{-i omega_k t} c_k."""
-    c = coeffs.coeffs if isinstance(coeffs, OneParticleVector) else \
-        np.asarray(coeffs, dtype=complex)
-    om = model.omegas
-    xg = model.x if x is None else np.asarray(x, dtype=float)
-    m = model.eval_modes(xg)
-    t_grid = np.asarray(t_grid, dtype=float)
-    amp = np.exp(-1j * np.outer(t_grid, om)) * (c / np.sqrt(2.0 * om))
-    return np.real(amp @ m)
-
-
 def dual_boundary_map(model, f):
     """Mode coefficients of the boundary smearing f.
 

@@ -153,12 +153,12 @@ def quasifree_expectation_check(rep, kd, ps, v):
     return ExpectationReport(lhs, rhs, abs(lhs - rhs))
 
 
-def strong_convergence_test(rep, kd, ps, v_seq, v_lim, psi_set):
-    """(errors, tails) per v_n: maxima over psi of ||(W(v_n) - W(v_lim)) psi||
-    and of the weight W(v_n) psi puts on the top occupation shell n_max."""
+def strong_convergence_test(rep, h_seq, h_lim, psi_set):
+    """(errors, tails) per h_n: maxima over psi of ||(W(h_n) - W(h_lim)) psi||
+    and of the weight W(h_n) psi puts on the top occupation shell n_max."""
     psis = np.stack([np.asarray(p, dtype=complex) for p in psi_set], axis=1)
     top = np.array(rep.basis).sum(axis=1) == rep.n_max
-    w_lim = weyl_apply(rep, kw_embedding(kd, v_lim), psis)
-    w_seq = [weyl_apply(rep, kw_embedding(kd, v), psis) for v in v_seq]
+    w_lim = weyl_apply(rep, h_lim, psis)
+    w_seq = [weyl_apply(rep, h, psis) for h in h_seq]
     return ([float(np.linalg.norm(w - w_lim, axis=0).max()) for w in w_seq],
             [float((np.abs(w[top]) ** 2).sum(axis=0).max()) for w in w_seq])

@@ -1,6 +1,9 @@
 """Batch front end: strict key = value configs, named experiments, CSV
 artifacts with full config echo, deterministic byte-for-byte output.
 
+A `run` call shares one memo (checked model per cutoff, FD oracle, ladder
+pass) among its experiments; each artifact equals its command's run alone.
+
 Exit codes: 0 all checks within tolerance, 1 a check failed, 2 usage or
 configuration error, or an experiment that cannot run at the given settings.
 """
@@ -114,13 +117,10 @@ def validate_config(cfg):
     for key in _SCHEMA["tolerances"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    ladder = parse_ladder(cfg.ladder)
-    if any(a >= b for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder must be strictly increasing")
-    if ladder[0] < 1:
-        raise ConfigError("ladder entries must be >= 1")
-    parse_o_region(cfg.o)
-    parse_v_region(cfg.v)
+    try:
+        effective_plan(cfg)
+    except pc.ShapeError as exc:
+        raise ConfigError(str(exc)) from None
     parse_perturbation(cfg.perturbation)
 
 
@@ -144,10 +144,7 @@ def parse_o_region(text):
         except ValueError:
             raise ConfigError(
                 f"cannot parse boundary interval {part!r}") from None
-    try:
-        return hg.boundary_region(ivs)
-    except pc.ShapeError as exc:
-        raise ConfigError(f"o: {exc}") from None
+    return hg.boundary_region(ivs)
 
 
 def parse_v_region(text):
@@ -163,10 +160,7 @@ def parse_v_region(text):
         except ValueError:
             raise ConfigError(
                 f"cannot parse bulk rectangle {part!r}") from None
-    try:
-        return hg.bulk_region(rects)
-    except pc.ShapeError as exc:
-        raise ConfigError(f"v: {exc}") from None
+    return hg.bulk_region(rects)
 
 
 def parse_perturbation(text):
@@ -199,18 +193,26 @@ def serialize_config(cfg):
     return "\n".join(lines)
 
 
-def checked_model(cfg):
+def once(memo, key, make):
+    """memo[key], made by make() on its first use in the run."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def checked_model(cfg, memo):
     """The configured model and its two checks, as (name, value, bound):
     the quadrature Gram residual of the modes, and the largest gap between
     the first min(k, 30) frequencies and the finite-difference oracle."""
     perturbation = parse_perturbation(cfg.perturbation)
-    model = am.build_model(cfg.nu, cfg.k, cfg.n, perturbation=perturbation,
-                           support_margin=cfg.support_margin)
+    model = once(memo, ("model", cfg.k), lambda: am.build_model(
+        cfg.nu, cfg.k, cfg.n, perturbation=perturbation,
+        support_margin=cfg.support_margin))
     gram = (model.mode_values * model.wq) @ model.mode_values.T
     ortho = float(np.abs(gram - np.eye(cfg.k)).max())
     k_check = min(cfg.k, 30)
-    fd = am.fd_mode_frequencies(cfg.nu, k_check, 2000,
-                                perturbation=perturbation)
+    fd = once(memo, ("fd", k_check), lambda: am.fd_mode_frequencies(
+        cfg.nu, k_check, 2000, perturbation=perturbation))
     err = float(np.abs(fd - model.omegas[:k_check]).max())
     return model, [
         ("mode_orthonormality [one_particle quadrature Gram]", ortho,
@@ -219,9 +221,9 @@ def checked_model(cfg):
          cfg.eig_tolerance)]
 
 
-def build_cfg_model(cfg):
+def build_cfg_model(cfg, memo):
     """The configured model; ShapeError if either model check fails."""
-    model, checks = checked_model(cfg)
+    model, checks = checked_model(cfg, memo)
     for name, value, bound in checks:
         if not value <= bound:
             raise pc.ShapeError(f"{name} {value:.3e} exceeds {bound:.1e}")
@@ -232,6 +234,13 @@ def effective_plan(cfg):
     return hg.ExperimentPlan(
         o_region=parse_o_region(cfg.o), v_region=parse_v_region(cfg.v),
         ladder=parse_ladder(cfg.ladder), n_bulk=cfg.n_bulk, seed=cfg.seed)
+
+
+def shared_ladder(cfg, memo):
+    """(plan, bases, w): holography.ladder_pass on the checked model."""
+    plan = effective_plan(cfg)
+    return once(memo, "ladder", lambda: (
+        plan, *hg.ladder_pass(plan, build_cfg_model(cfg, memo))))
 
 
 # ----------------------------------------------------------------------
@@ -278,11 +287,11 @@ def _check(lines, name, value, bound, ok=None):
 
 
 # ----------------------------------------------------------------------
-# commands; each returns (ok, report_lines, csv_name, header, rows)
+# commands(cfg, memo) -> (ok, report_lines, csv_name, header, rows)
 
-def cmd_modes(cfg):
+def cmd_modes(cfg, memo):
     lines = []
-    model, checks = checked_model(cfg)
+    model, checks = checked_model(cfg, memo)
     ok = True
     for check in checks:
         ok &= _check(lines, *check)
@@ -290,11 +299,11 @@ def cmd_modes(cfg):
     return ok, lines, "modes", ("k", "omega", "beta_minus", "beta_plus"), rows
 
 
-def cmd_propagator(cfg):
+def cmd_propagator(cfg, memo):
     lines = []
     # the residual P u - v contains the mode-truncation error of the
     # densitized source, so this check runs at a cutoff of at least 48
-    model = build_cfg_model(replace(cfg, k=max(cfg.k, 48)))
+    model = build_cfg_model(replace(cfg, k=max(cfg.k, 48)), memo)
     sig_t, sig_x = 0.3, 0.22
     v = am.bulk_bump(model, 0.0, 0.0, sig_t, sig_x, t_step=0.003,
                      n_sigma=6.8)
@@ -350,7 +359,7 @@ def _commutator_residual(rep, f1, f2, scalar, occ_cap):
     return float(np.linalg.norm(diff, axis=0).max())
 
 
-def cmd_ccr_verify(cfg):
+def cmd_ccr_verify(cfg, memo):
     lines = []
     rng = np.random.default_rng(cfg.seed)
     rep = cf.fock_rep(1, 40)
@@ -390,7 +399,7 @@ def cmd_ccr_verify(cfg):
     return ok, lines, "ccr_verify", ("check", "value", "bound"), rows
 
 
-def cmd_kw_verify(cfg):
+def cmd_kw_verify(cfg, memo):
     lines = []
     rows = []
     jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -440,9 +449,10 @@ def cmd_kw_verify(cfg):
     return ok, lines, "kw_verify", ("check", "value", "bound"), rows
 
 
-def cmd_holo_inclusion(cfg):
+def cmd_holo_inclusion(cfg, memo):
     lines = []
-    table = hg.run_inclusion(effective_plan(cfg), model=build_cfg_model(cfg))
+    plan, bases, w = shared_ladder(cfg, memo)
+    table = hg.run_inclusion(plan, build_cfg_model(cfg, memo), bases, w)
     res = [r.max_residual for r in table.rungs]
     mono = all(b <= a + cfg.monotonicity_slack
                for a, b in zip(res, res[1:]))
@@ -460,9 +470,9 @@ def cmd_holo_inclusion(cfg):
                                          "sigma_min_ref"), rows
 
 
-def cmd_uc_scan(cfg):
+def cmd_uc_scan(cfg, memo):
     lines = []
-    model = build_cfg_model(cfg)
+    model = build_cfg_model(cfg, memo)
     t_halves = (0.6, 1.2, 1.8, 2.4, 3.0)
     sig = hg.nested_uc_family(model, t_halves)
     empty = am.uc_scan(model, [], 4, np.linspace(-1, 1, 201)).sigma_min
@@ -475,10 +485,9 @@ def cmd_uc_scan(cfg):
     return ok, lines, "uc_scan", ("index", "t_half", "sigma_min"), rows
 
 
-def cmd_weyl_convergence(cfg):
+def cmd_weyl_convergence(cfg, memo):
     lines = []
-    rep = hg.run_weyl_convergence(effective_plan(cfg),
-                                  model=build_cfg_model(cfg))
+    rep = hg.run_weyl_convergence(*shared_ladder(cfg, memo))
     errs = rep.errors
     dec = all(b <= a + cfg.monotonicity_slack for a, b in zip(errs, errs[1:]))
     ok = _check(lines, "weyl_errors_decreasing [strong_convergence_test]",
@@ -507,30 +516,30 @@ _DISPATCH = {
 
 
 def run(command, cfg, out_dir="."):
-    """Run one named experiment; returns the exit code."""
-    if command == "check-all":
-        code = 0
-        for sub in _DISPATCH:
-            code = max(code, run(sub, cfg, out_dir))
-        return code
-    if command not in _DISPATCH:
+    """Run one named experiment, or every one on one memo for check-all;
+    returns the largest exit code."""
+    if command != "check-all" and command not in _DISPATCH:
         print(f"unknown command {command!r}", file=sys.stderr)
         return 2
-    try:
-        ok, lines, name, header, rows = _DISPATCH[command](cfg)
-    except (ConfigError, pc.ShapeError, am.BFBoundError,
-            am.InvalidPerturbationError, am.MarginError,
-            am.UnderdeterminedError, cf.CutoffUnreliableError,
-            hg.CompressionRankError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, f"{name}.csv"), cfg, command,
-              header, rows)
-    text = write_report(os.path.join(out_dir, f"{name}_report.txt"),
-                        cfg, command, lines)
-    print(text, end="")
-    return 0 if ok else 1
+    memo, code = {}, 0
+    for sub in _DISPATCH if command == "check-all" else (command,):
+        try:
+            ok, lines, name, header, rows = _DISPATCH[sub](cfg, memo)
+        except (ConfigError, pc.ShapeError, am.BFBoundError,
+                am.InvalidPerturbationError, am.MarginError,
+                am.UnderdeterminedError, cf.CutoffUnreliableError,
+                hg.CompressionRankError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+            continue
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, f"{name}.csv"), cfg, sub,
+                  header, rows)
+        text = write_report(os.path.join(out_dir, f"{name}_report.txt"),
+                            cfg, sub, lines)
+        print(text, end="")
+        code = max(code, 0 if ok else 1)
+    return code
 
 
 def main(argv=None):

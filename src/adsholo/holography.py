@@ -8,7 +8,8 @@ well the closure of the boundary span captures the bulk vectors.  The
 dictionary is a deterministic prefix stream, so every rung of a ladder is a
 column prefix of one matrix built at the top size, and the spans are nested.
 Residuals are monotone along the ladder up to the rank cutoff of the rung's
-SVD.
+SVD.  Both experiments are functions of one ladder pass: the rung span bases
+and the embedded bulk generators, which a run computes once and shares.
 """
 
 from dataclasses import dataclass
@@ -84,6 +85,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.ladder, self.ladder[1:])):
             raise pc.ShapeError("ladder must be strictly increasing")
+        if any(s < 1 for s in self.ladder):
+            raise pc.ShapeError("ladder entries must be >= 1")
         if self.o_region.kind != "boundary" or self.v_region.kind != "bulk":
             raise pc.ShapeError("o_region must be boundary, v_region bulk")
 
@@ -162,6 +165,17 @@ def bulk_generators(model, v_region, count, seed=0):
     return out
 
 
+def ladder_pass(plan, model):
+    """(bases, w): the rung span bases of boundary_ladder and the (2K, n_bulk)
+    matrix of embedded bulk generators, the inputs both experiments share."""
+    bases = boundary_ladder(model, plan.o_region, plan.ladder)
+    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
+    w = np.zeros((2 * model.K, len(bulk)))
+    for i, v in enumerate(bulk):
+        w[:, i] = am.embed_one_particle(am.one_particle_map(model, v))
+    return bases, w
+
+
 def canonical_phase_space(model):
     """Ground-state forms on the real 2K mode-coefficient space."""
     k = model.K
@@ -207,26 +221,20 @@ class InclusionTable:
         return self.rungs[-1].max_residual
 
 
-def run_inclusion(plan, model):
-    """Residual ladder of the bulk generators against growing boundary spans.
+def run_inclusion(plan, model, bases, w):
+    """Residual ladder of the bulk vectors w against the rung bases.
 
     An empty O gives residual 1 for every nonzero bulk vector, an empty V
     residual 0; sigma_min_ref is 0 for either.
     """
-    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
-    w = np.zeros((2 * model.K, len(bulk)))
-    for i, v in enumerate(bulk):
-        w[:, i] = am.embed_one_particle(am.one_particle_map(model, v))
-
     rungs = []
-    for size, u in zip(plan.ladder,
-                       boundary_ladder(model, plan.o_region, plan.ladder)):
+    for size, u in zip(plan.ladder, bases):
         r = pc.relative_residuals(u, w)
         rungs.append(InclusionRung(size, float(r.max(initial=0.0)),
                                    float(r.mean()) if r.size else 0.0,
                                    u.shape[1]))
 
-    vacuous = plan.o_region.empty or not bulk
+    vacuous = plan.o_region.empty or not w.shape[1]
     return InclusionTable(tuple(rungs), 0.0 if vacuous
                           else _uc_reference(model, plan.o_region))
 
@@ -280,26 +288,27 @@ def _fit_through_data(x, y):
     return float(coef[0]), r2
 
 
-def run_weyl_convergence(plan, model, n_max=40):
+def _plane_embedding(z):
+    """kw_embedding of (Re z, Im z) for the pure state eta = I,
+    sigma = 2 [[0, I], [-I, 0]] of the compressed plane."""
+    return np.sqrt(2.0) * (-1j * z[::-1])
+
+
+def run_weyl_convergence(plan, bases, w, n_max=40):
     """Weyl-operator convergence along the boundary approximant ladder.
 
-    The first bulk generator (rescaled to norm 1/2) and its orthogonal
-    projections onto the boundary spans are compressed to the complex plane
-    spanned by the target and the dominant residual direction; the compressed
-    pure-state Weyl operators are compared on the vacuum and a one-particle
-    vector.
+    The first bulk vector of ladder_pass (rescaled to norm 1/2) and its
+    orthogonal projections onto the boundary spans are compressed to the
+    complex plane spanned by the target and the dominant residual direction;
+    the compressed pure-state Weyl operators are compared on the vacuum and a
+    one-particle vector.
     """
-    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
-    if not bulk:
+    if not w.shape[1]:
         raise CompressionRankError("bulk region is empty; no target vector")
-    c_target = am.one_particle_map(model, bulk[0]).coeffs
-    w = am.embed_one_particle(c_target)
-    scale = 0.5 / np.linalg.norm(w)
-    w = scale * w
-    c_target = scale * c_target
+    w = (0.5 / np.linalg.norm(w[:, 0])) * w[:, 0]
+    c_target = am.extract_one_particle(w)
 
-    approx = [u @ (u.T @ w)
-              for u in boundary_ladder(model, plan.o_region, plan.ladder)]
+    approx = [u @ (u.T @ w) for u in bases]
 
     distances = [float(np.linalg.norm(a - w)) for a in approx]
     if distances[-1] > 0.1 * np.linalg.norm(w):
@@ -309,28 +318,20 @@ def run_weyl_convergence(plan, model, n_max=40):
 
     c_approx = [am.extract_one_particle(a) for a in approx]
     u1, u2 = _compress_directions(c_target, c_approx)
+    z_lim, *z_seq = [np.array([np.vdot(u1, c), np.vdot(u2, c)])
+                     for c in [c_target] + c_approx]
 
-    def compress(c):
-        z = np.array([np.vdot(u1, c), np.vdot(u2, c)])
-        return np.concatenate([z.real, z.imag])
-
-    eye2 = np.eye(2)
-    zero2 = np.zeros((2, 2))
-    ps2 = pc.PhaseSpace(4, np.eye(4),
-                        2.0 * np.block([[zero2, eye2], [-eye2, zero2]]))
-    kd2 = pc.kahler_from_covariance(ps2)
-    rep = cf.fock_rep(cf.kw_one_particle_dim(kd2), n_max)
-
+    rep = cf.fock_rep(2, n_max)
     vac = np.zeros(rep.dim)
     vac[rep.vacuum_index] = 1.0
     one = np.zeros(rep.dim)
     one[rep.index[(1, 0)]] = 1.0
 
-    v_lim = compress(c_target)
-    v_seq = [compress(c) for c in c_approx]
-    comp_dist = [float(np.linalg.norm(v - v_lim)) for v in v_seq]
-    errors, tails = cf.strong_convergence_test(rep, kd2, ps2, v_seq, v_lim,
-                                               [vac, one])
+    comp_dist = [float(np.linalg.norm(am.embed_one_particle(z - z_lim)))
+                 for z in z_seq]
+    errors, tails = cf.strong_convergence_test(
+        rep, [_plane_embedding(z) for z in z_seq], _plane_embedding(z_lim),
+        [vac, one])
 
     lip, r2 = _fit_through_data(distances, errors)
     return WeylReport(tuple(plan.ladder), tuple(distances), tuple(comp_dist),

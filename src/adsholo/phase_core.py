@@ -210,16 +210,6 @@ def kahler_from_covariance(ps):
     )
 
 
-def kw_inner_product(kd, ps, v, w):
-    """Hermitian inner product eta(v, w) - i eta(v, j w) on the phase space."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (ps.dim,) or w.shape != (ps.dim,):
-        raise ShapeError("vectors must match the phase space dimension")
-    ew = ps.eta @ w
-    return complex(v @ ew - 1j * (v @ (ps.eta @ (kd.j @ w))))
-
-
 def span_basis(g):
     """Orthonormal d x r basis of the column span of g (d x n): the left
     singular vectors whose singular values exceed RANK_TOLERANCE times the

@@ -30,13 +30,14 @@ def default_plan():
 
 @pytest.fixture(scope="session")
 def default_model():
-    return cli.build_cfg_model(cli.RunConfig())
+    return cli.build_cfg_model(cli.RunConfig(), {})
 
 
 @pytest.fixture(scope="session")
 def inclusion_run(default_plan, default_model):
     t0 = time.monotonic()
-    table = hg.run_inclusion(default_plan, model=default_model)
+    table = hg.run_inclusion(default_plan, default_model,
+                             *hg.ladder_pass(default_plan, default_model))
     return table, time.monotonic() - t0
 
 
@@ -248,7 +249,8 @@ def test_criterion_7_contrast_small_window(default_plan, default_model,
     small = dataclasses.replace(
         default_plan,
         o_region=hg.boundary_region([("-", -0.5, 0.5)]))
-    table = hg.run_inclusion(small, model=default_model)
+    table = hg.run_inclusion(small, default_model,
+                             *hg.ladder_pass(small, default_model))
     ratio = table.plateau / max(table6.plateau, 1e-300)
     ok = ratio >= 10.0
     report(7, "small boundary window leaves a 10x higher plateau", ok,
@@ -256,7 +258,8 @@ def test_criterion_7_contrast_small_window(default_plan, default_model,
 
 
 def test_criterion_8_weyl_strong_convergence(default_plan, default_model):
-    rep = hg.run_weyl_convergence(default_plan, model=default_model)
+    rep = hg.run_weyl_convergence(default_plan,
+                                  *hg.ladder_pass(default_plan, default_model))
     # errors reach the machine floor on the last rungs; allow roundoff
     # jitter there without weakening the decrease requirement above it
     decreasing = all(b <= a + 1e-12

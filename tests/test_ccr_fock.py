@@ -331,15 +331,17 @@ class TestStrongConvergence:
 
     def test_constant_sequence_zero_error(self):
         v = np.array([0.5, 0.1])
-        errs, _ = cf.strong_convergence_test(self.rep, self.kd, self.ps,
-                                             [v, v, v], v, self.psi)
+        h = cf.kw_embedding(self.kd, v)
+        errs, _ = cf.strong_convergence_test(self.rep, [h, h, h], h,
+                                             self.psi)
         assert max(errs) == 0.0
 
     def test_geometric_approach_halves_error(self):
         v = np.array([0.8, 0.0])
         seq = [(1.0 - 2.0 ** -n) * v for n in range(1, 7)]
-        errs, _ = cf.strong_convergence_test(self.rep, self.kd, self.ps,
-                                             seq, v, self.psi)
+        errs, _ = cf.strong_convergence_test(
+            self.rep, [cf.kw_embedding(self.kd, s) for s in seq],
+            cf.kw_embedding(self.kd, v), self.psi)
         assert all(b < a for a, b in zip(errs, errs[1:]))
         ratios = [b / a for a, b in zip(errs, errs[1:])]
         assert all(0.35 < r < 0.65 for r in ratios)
@@ -352,8 +354,9 @@ class TestStrongConvergence:
         one = np.zeros(rep.dim)
         one[rep.index[(1,)]] = 1.0
         seq = [np.array([s, 0.0]) for s in (0.2, 0.6, 1.0)]
-        _, tails = cf.strong_convergence_test(rep, self.kd, self.ps, seq,
-                                              seq[-1], [vac, one])
+        _, tails = cf.strong_convergence_test(
+            rep, [cf.kw_embedding(self.kd, v) for v in seq],
+            cf.kw_embedding(self.kd, seq[-1]), [vac, one])
         for v, tail in zip(seq, tails):
             w = dense_weyl(rep, cf.kw_embedding(self.kd, v))
             top = rep.index[(3,)]
@@ -365,6 +368,6 @@ class TestStrongConvergence:
 
     def test_fock_tail_vanishes_at_default_cutoff(self):
         v = np.array([0.8, 0.0])
-        _, tails = cf.strong_convergence_test(self.rep, self.kd, self.ps,
-                                              [0.5 * v, v], v, self.psi)
+        h = [cf.kw_embedding(self.kd, s) for s in (0.5 * v, v)]
+        _, tails = cf.strong_convergence_test(self.rep, h, h[1], self.psi)
         assert max(tails) < 1e-30

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adsholo import ads_model as am
 from adsholo import cli
 
 
@@ -12,6 +13,13 @@ FAST = {"nu": 0.5, "k": 6, "n": 128}
 
 def fast_cfg(**over):
     return dataclasses.replace(cli.RunConfig(), **{**FAST, **over})
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 class TestConfigParsing:
@@ -276,11 +284,38 @@ class TestRunDispatch:
     def test_check_all_on_small_config(self, tmp_path):
         cfg = fast_cfg(nu=0.7, k=10, n=256, n_bulk=2,
                        ladder="10,20,40,80")
-        assert cli.run("check-all", cfg, str(tmp_path)) == 0
-        names = {p.name for p in tmp_path.iterdir()}
+        every = tmp_path / "check-all"
+        assert cli.run("check-all", cfg, str(every)) == 0
+        names = {p.name for p in every.iterdir()}
         assert {"modes.csv", "propagator.csv", "ccr_verify.csv",
                 "kw_verify.csv", "holo_inclusion.csv", "uc_scan.csv",
                 "weyl_convergence.csv"} <= names
+        # every artifact equals the one its command writes alone, so no
+        # experiment changes an input that the run shares
+        alone = {}
+        for command in cli._DISPATCH:
+            assert cli.run(command, cfg, str(tmp_path / command)) == 0
+            alone.update((p.name, p.read_bytes())
+                         for p in (tmp_path / command).iterdir())
+        assert alone == {p.name: p.read_bytes() for p in every.iterdir()}
+
+    def test_check_all_shares_work_within_one_run(self, tmp_path,
+                                                  monkeypatch):
+        # one FD oracle per checked mode count (10, and 30 for the K = 48
+        # propagator model), one model per cutoff and one dual-mapped
+        # dictionary; the second run repeats them, so nothing outlives it
+        calls = {}
+        for name in ("fd_mode_frequencies", "build_model",
+                     "dual_boundary_map"):
+            monkeypatch.setattr(am, name, counted(calls, name,
+                                                  getattr(am, name)))
+        cfg = fast_cfg(k=10, n=256, n_bulk=2, ladder="10,20,40,80")
+        for out in ("a", "b"):
+            calls.update(fd_mode_frequencies=0, build_model=0,
+                         dual_boundary_map=0)
+            cli.run("check-all", cfg, str(tmp_path / out))
+            assert calls == {"fd_mode_frequencies": 2, "build_model": 2,
+                             "dual_boundary_map": 80}
 
 
 class TestPropagatorResidual:
@@ -290,7 +325,7 @@ class TestPropagatorResidual:
         def residual(k):
             cfg = dataclasses.replace(cli.RunConfig(), k=k,
                                       perturbation="0.8:0.1:0.4")
-            _, lines, *_ = cli.cmd_propagator(cfg)
+            _, lines, *_ = cli.cmd_propagator(cfg, {})
             line, = [l for l in lines if l.startswith("pde_residual")]
             return float(line.split(": ")[1].split()[0])
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adsholo import ads_model as am
+from adsholo import ccr_fock as cf
 from adsholo import cli
 from adsholo import holography as hg
 from adsholo import phase_core as pc
@@ -113,27 +114,31 @@ class TestBulkGenerators:
 class TestRunInclusion:
     def test_empty_bulk_region_vacuous(self, small_plan, small_model):
         plan = dataclasses.replace(small_plan, v_region=hg.bulk_region([]))
-        table = hg.run_inclusion(plan, model=small_model)
+        table = hg.run_inclusion(plan, small_model,
+                                 *hg.ladder_pass(plan, small_model))
         assert all(r.max_residual == 0.0 for r in table.rungs)
 
     def test_empty_boundary_region_includes_nothing(self, small_plan,
                                                     small_model):
         plan = dataclasses.replace(small_plan,
                                    o_region=hg.boundary_region([]))
-        table = hg.run_inclusion(plan, model=small_model)
+        table = hg.run_inclusion(plan, small_model,
+                                 *hg.ladder_pass(plan, small_model))
         assert all(r.max_residual == 1.0 and r.mean_residual == 1.0
                    and r.rank == 0 for r in table.rungs)
         assert table.sigma_min_ref == 0.0
 
     def test_rank_is_span_dimension(self, small_plan, small_model):
-        table = hg.run_inclusion(small_plan, model=small_model)
+        table = hg.run_inclusion(small_plan, small_model,
+                                 *hg.ladder_pass(small_plan, small_model))
         ranks = [r.rank for r in table.rungs]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
         assert ranks[0] == small_plan.ladder[0]
         assert ranks[-1] <= 2 * small_model.K
 
     def test_residuals_monotone_and_witnessed(self, small_plan, small_model):
-        table = hg.run_inclusion(small_plan, model=small_model)
+        table = hg.run_inclusion(small_plan, small_model,
+                                 *hg.ladder_pass(small_plan, small_model))
         res = [r.max_residual for r in table.rungs]
         assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
         assert table.plateau < table.initial_residual
@@ -165,8 +170,9 @@ class TestRunInclusion:
             v_region=hg.bulk_region(
                 [(t0 + tau, t1 + tau, x0, x1)
                  for t0, t1, x0, x1 in small_plan.v_region.rectangles]))
-        t0 = hg.run_inclusion(small_plan, model=model)
-        t1 = hg.run_inclusion(plan1, model=model)
+        t0 = hg.run_inclusion(small_plan, model,
+                              *hg.ladder_pass(small_plan, model))
+        t1 = hg.run_inclusion(plan1, model, *hg.ladder_pass(plan1, model))
         for r0, r1 in zip(t0.rungs, t1.rungs):
             assert r1.max_residual == pytest.approx(r0.max_residual,
                                                     abs=1e-12)
@@ -188,7 +194,8 @@ class TestSharedLadder:
 
     def test_inclusion_residuals_match_fresh_dictionaries(self, small_plan,
                                                           small_model):
-        table = hg.run_inclusion(small_plan, model=small_model)
+        table = hg.run_inclusion(small_plan, small_model,
+                                 *hg.ladder_pass(small_plan, small_model))
         bulk = np.column_stack([
             am.embed_one_particle(am.one_particle_map(small_model, v))
             for v in hg.bulk_generators(small_model, small_plan.v_region,
@@ -203,7 +210,8 @@ class TestSharedLadder:
 
     def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
                                                      small_model):
-        rep = hg.run_weyl_convergence(small_plan, model=small_model,
+        rep = hg.run_weyl_convergence(small_plan,
+                                      *hg.ladder_pass(small_plan, small_model),
                                       n_max=24)
         target = hg.bulk_generators(small_model, small_plan.v_region,
                                     small_plan.n_bulk,
@@ -217,7 +225,8 @@ class TestSharedLadder:
 
 class TestWeylConvergence:
     def test_report_structure_and_decay(self, small_plan, small_model):
-        rep = hg.run_weyl_convergence(small_plan, model=small_model,
+        rep = hg.run_weyl_convergence(small_plan,
+                                      *hg.ladder_pass(small_plan, small_model),
                                       n_max=24)
         assert len(rep.errors) == len(small_plan.ladder)
         assert all(b <= a + 1e-3 for a, b in zip(rep.errors, rep.errors[1:]))
@@ -226,14 +235,31 @@ class TestWeylConvergence:
                    zip(rep.compressed_distances, rep.distances))
 
     def test_fock_tails_shrink_with_cutoff(self, small_plan, small_model):
-        tails = {n: hg.run_weyl_convergence(small_plan, model=small_model,
+        bases, w = hg.ladder_pass(small_plan, small_model)
+        tails = {n: hg.run_weyl_convergence(small_plan, bases, w,
                                             n_max=n).fock_tails
                  for n in (8, 24)}
         assert all(len(t) == len(small_plan.ladder) for t in tails.values())
         assert 0.0 < max(tails[24]) < 1e-20 < min(tails[8])
 
+    def test_plane_embedding_is_kw_embedding(self):
+        # the Kaehler embedding of the compressed plane's pure state, bit
+        # for bit, over six decades of |z|
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        ps = pc.PhaseSpace(4, np.eye(4),
+                           2.0 * np.block([[zero, eye], [-eye, zero]]))
+        kd = pc.kahler_from_covariance(ps)
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            z *= 10.0 ** rng.uniform(-8, 1) / np.linalg.norm(z)
+            assert np.array_equal(
+                hg._plane_embedding(z),
+                cf.kw_embedding(kd, np.concatenate([z.real, z.imag])))
+
     def test_fit_is_positive_slope(self, small_plan, small_model):
-        rep = hg.run_weyl_convergence(small_plan, model=small_model,
+        rep = hg.run_weyl_convergence(small_plan,
+                                      *hg.ladder_pass(small_plan, small_model),
                                       n_max=24)
         assert rep.lipschitz > 0.0
         assert 0.0 <= rep.r_squared <= 1.0
@@ -243,6 +269,11 @@ class TestLadderValidation:
     def test_rejects_nonincreasing_ladder(self, small_plan):
         with pytest.raises(pc.ShapeError):
             dataclasses.replace(small_plan, ladder=(10, 10, 20))
+
+    @pytest.mark.parametrize("ladder", [(-3, 5), (0, 5)], ids=["-3,5", "0,5"])
+    def test_rejects_nonpositive_entries(self, small_plan, ladder):
+        with pytest.raises(pc.ShapeError, match="ladder entries"):
+            dataclasses.replace(small_plan, ladder=ladder)
 
     def test_rejects_swapped_regions(self, small_plan):
         with pytest.raises(pc.ShapeError):
