@@ -153,8 +153,8 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
             pot = pot + perturbation(x)
         diag = (wm[:-1] + wm[1:]) / (h * h * w) + pot
         off = -wm[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, K - 1))[0]
+        vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, K - 1))
         return np.sqrt(vals)
 
     ns = np.array([N // 4, N // 2, N])
@@ -512,20 +512,34 @@ def boundary_trace(model, coeffs, component, t_grid):
     return np.real(np.exp(-1j * np.outer(t_grid, om)) @ amp)
 
 
+def dual_boundary_matrix(model, component, t_grid, profiles):
+    """Mode coefficients of several smearings on one component and one time
+    grid, shape (K, len(profiles)): column i is the dual map of profiles[i].
+
+    The phase matrix e^{-i omega t} and the trapezoid weights are formed once
+    for the grid; each column is reduced on its own, exactly as a single
+    profile would be, so a column does not depend on the other profiles."""
+    om = model.omegas
+    wt = _trapezoid_weights(t_grid)
+    phase = np.exp(-1j * np.outer(om, t_grid))
+    fhat = np.empty((model.K, len(profiles)), dtype=complex)
+    for i, p in enumerate(profiles):
+        fhat[:, i] = (phase * (p * wt)).sum(axis=1)
+    return (model.betas(component) / np.sqrt(2.0 * om))[:, None] * fhat
+
+
 def dual_boundary_map(model, f):
     """Mode coefficients of the boundary smearing f.
 
     Uses the same e^{-i omega t} frequency convention as one_particle_map,
     so these are the limits of bulk coefficients for sources concentrating
     at the boundary; the smeared trace of a solution representative is
-    recovered through the real bilinear pairing Re sum_k d_k c_k."""
-    om = model.omegas
+    recovered through the real bilinear pairing Re sum_k d_k c_k.  This is
+    the one-column case of dual_boundary_matrix."""
     if f.samples.size == 0 or not np.any(f.samples):
         return OneParticleVector(np.zeros(model.K, dtype=complex))
-    wt = _trapezoid_weights(f.t_grid)
-    fhat = (np.exp(-1j * np.outer(om, f.t_grid)) * (f.samples * wt)).sum(axis=1)
-    coeffs = model.betas(f.component) / np.sqrt(2.0 * om) * fhat
-    return OneParticleVector(coeffs)
+    return OneParticleVector(dual_boundary_matrix(
+        model, f.component, f.t_grid, [f.samples])[:, 0])
 
 
 @dataclass(frozen=True)

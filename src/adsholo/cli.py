@@ -114,6 +114,8 @@ def validate_config(cfg):
         raise ConfigError("n must be >= 4 k")
     if cfg.n_bulk < 1:
         raise ConfigError("n_bulk must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     for key in _SCHEMA["tolerances"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -564,6 +566,9 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+            validate_config(cfg)
     except FileNotFoundError:
         print(f"error: config file {args.config!r} not found",
               file=sys.stderr)
@@ -571,8 +576,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
 
     return run(args.command, cfg, args.out)
 

@@ -13,6 +13,7 @@ and the embedded bulk generators, which a run computes once and shares.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -130,13 +131,23 @@ def boundary_ladder(model, o_region, ladder):
 
     The dictionary is dual-mapped once at the top size into the columns of
     one 2K x max(ladder) matrix; rung s is the span basis of its first s
-    columns, the vectors a dictionary of size s would give.  An empty region
-    gives 2K x 0 bases.
+    columns, the vectors a dictionary of size s would give.  The bumps at
+    one center share their time grid, so each run of consecutive elements
+    on one component and one grid takes one dual_boundary_matrix call, and
+    one phase matrix.  An empty region gives 2K x 0 bases.
     """
     fam = boundary_dictionary(model, o_region, max(ladder))
-    g = np.zeros((2 * model.K, len(fam)))
-    for i, f in enumerate(fam):
-        g[:, i] = am.embed_one_particle(am.dual_boundary_map(model, f))
+    k = model.K
+    g = np.zeros((2 * k, len(fam)))
+    col = 0
+    for (comp, _), group in groupby(fam, key=lambda f: (f.component,
+                                                         f.t_grid.tobytes())):
+        group = list(group)
+        d = am.dual_boundary_matrix(model, comp, group[0].t_grid,
+                                    [f.samples for f in group])
+        g[:k, col:col + len(group)] = d.real
+        g[k:, col:col + len(group)] = d.imag
+        col += len(group)
     return [pc.span_basis(g[:, :s]) for s in ladder]
 
 
@@ -174,15 +185,6 @@ def ladder_pass(plan, model):
     for i, v in enumerate(bulk):
         w[:, i] = am.embed_one_particle(am.one_particle_map(model, v))
     return bases, w
-
-
-def canonical_phase_space(model):
-    """Ground-state forms on the real 2K mode-coefficient space."""
-    k = model.K
-    eye = np.eye(k)
-    zero = np.zeros((k, k))
-    omega_block = np.block([[zero, eye], [-eye, zero]])
-    return pc.PhaseSpace(2 * k, np.eye(2 * k), 2.0 * omega_block)
 
 
 def _uc_reference(model, o_region):

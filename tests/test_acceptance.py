@@ -167,8 +167,17 @@ def test_criterion_3_detects_conjugated_dual_map(default_model,
     assert worst > 1e-6
 
 
+def canonical_phase_space(model):
+    """Ground-state forms on the real 2K mode-coefficient space."""
+    k = model.K
+    eye = np.eye(k)
+    zero = np.zeros((k, k))
+    omega_block = np.block([[zero, eye], [-eye, zero]])
+    return pc.PhaseSpace(2 * k, np.eye(2 * k), 2.0 * omega_block)
+
+
 def test_criterion_4_positivity_purity(default_model):
-    ps = hg.canonical_phase_space(default_model)
+    ps = canonical_phase_space(default_model)
     rep = pc.check_positivity(ps, 2.0)
     kd = pc.kahler_from_covariance(ps)
     ok = rep.holds and abs(rep.domination_norm - 2.0) <= 1e-6 \

@@ -63,6 +63,25 @@ class TestBuildModel:
             fd = am.fd_mode_frequencies(nu, 10, 2000)
             assert np.abs(fd - (0.5 + nu + np.arange(10))).max() < 1e-6
 
+    @pytest.mark.parametrize("perturbation", [
+        pytest.param(None, id="unperturbed"),
+        pytest.param(lambda x: 2.0 * am.mollifier(np.asarray(x) / 0.8),
+                     id="perturbed")])
+    def test_fd_oracle_skips_eigenvectors_bit_for_bit(self, monkeypatch,
+                                                      perturbation):
+        # the eigenvalue-only call runs the same bisection as the call that
+        # also computes (and drops) the eigenvectors
+        fast = am.fd_mode_frequencies(0.7, 30, 2000, perturbation)
+        tridiagonal = am.eigh_tridiagonal
+
+        def with_vectors(diag, off, eigvals_only, **kwargs):
+            assert eigvals_only
+            return tridiagonal(diag, off, **kwargs)[0]
+
+        monkeypatch.setattr(am, "eigh_tridiagonal", with_vectors)
+        slow = am.fd_mode_frequencies(0.7, 30, 2000, perturbation)
+        assert np.array_equal(fast, slow)
+
     def test_boundary_amplitude_extrapolation(self, model):
         # beta_k^- = lim cos^{-nu_plus}(x) phi_k(x), via a 3-point fit in
         # powers of cos^2 x near the wall

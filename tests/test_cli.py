@@ -182,6 +182,25 @@ class TestMain:
         assert int(row0[0]) == 0
         assert float(row0[1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        code = cli.main(["check-all", "--seed", "-3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "seed must be >= 0" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["holo-inclusion", "uc-scan"])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, command):
+        p = tmp_path / "run.cfg"
+        p.write_text("[experiment]\nseed = -1\n")
+        code = cli.main([command, "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "seed must be >= 0" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("[experiment]\nseed = 5\n")
@@ -303,19 +322,21 @@ class TestRunDispatch:
                                                   monkeypatch):
         # one FD oracle per checked mode count (10, and 30 for the K = 48
         # propagator model), one model per cutoff and one dual-mapped
-        # dictionary; the second run repeats them, so nothing outlives it
+        # dictionary, at one dual_boundary_matrix call per time grid: the
+        # 80 bumps sit at 1 + 2 + 4 centers per component and 4 more on
+        # the first; the second run repeats them, so nothing outlives it
         calls = {}
         for name in ("fd_mode_frequencies", "build_model",
-                     "dual_boundary_map"):
+                     "dual_boundary_matrix"):
             monkeypatch.setattr(am, name, counted(calls, name,
                                                   getattr(am, name)))
         cfg = fast_cfg(k=10, n=256, n_bulk=2, ladder="10,20,40,80")
         for out in ("a", "b"):
             calls.update(fd_mode_frequencies=0, build_model=0,
-                         dual_boundary_map=0)
+                         dual_boundary_matrix=0)
             cli.run("check-all", cfg, str(tmp_path / out))
             assert calls == {"fd_mode_frequencies": 2, "build_model": 2,
-                             "dual_boundary_map": 80}
+                             "dual_boundary_matrix": 18}
 
 
 class TestPropagatorResidual:

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -85,6 +86,64 @@ class TestBoundaryDictionary:
             ranks.append(int(np.sum(s > 1e-10 * s[0])))
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
         assert ranks[-1] > ranks[0]
+
+
+def per_bump_dual_map(model, f):
+    """The dual map with its own phase matrix for each bump: the reference
+    that one phase matrix per time grid must reproduce bit for bit."""
+    om = model.omegas
+    wt = np.full(f.t_grid.size, f.t_grid[1] - f.t_grid[0])
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    fhat = (np.exp(-1j * np.outer(om, f.t_grid)) * (f.samples * wt)).sum(axis=1)
+    return model.betas(f.component) / np.sqrt(2.0 * om) * fhat
+
+
+class TestDualBoundaryMatrix:
+    """One phase matrix per time grid gives, column by column, the numbers
+    of one dual map per bump."""
+
+    def test_columns_equal_per_bump_dual_maps(self, small_model):
+        # 166 elements end level 3 (8 centers) on both components, and
+        # each center's 2l + 1 bumps share one time grid
+        o = hg.boundary_region([("-", -2.0, 2.0), ("+", -2.0, 2.0)])
+        fam = hg.boundary_dictionary(small_model, o, 166)
+        groups = 0
+        for (comp, _), group in groupby(fam, key=lambda f: (
+                f.component, f.t_grid.tobytes())):
+            group = list(group)
+            d = am.dual_boundary_matrix(small_model, comp, group[0].t_grid,
+                                        [f.samples for f in group])
+            assert d.shape == (small_model.K, len(group))
+            for col, f in zip(d.T, group):
+                assert np.array_equal(
+                    col, am.dual_boundary_map(small_model, f).coeffs)
+                assert np.array_equal(col, per_bump_dual_map(small_model, f))
+            groups += 1
+        assert groups == 2 * (1 + 2 + 4 + 8)
+
+    def test_empty_region_gives_empty_ladder(self, small_model):
+        bases = hg.boundary_ladder(small_model, hg.boundary_region([]),
+                                   (5, 10))
+        assert [u.shape for u in bases] == [(2 * small_model.K, 0)] * 2
+
+    def test_conjugated_dual_matrix_changes_residuals(self, small_plan,
+                                                      small_model,
+                                                      monkeypatch):
+        # on a short window the top rung does not span the 2K-dimensional
+        # phase space, so the ladder sees the wrong frequency convention
+        plan = dataclasses.replace(
+            small_plan, o_region=hg.boundary_region([("-", -1.0, 1.0)]))
+        table = hg.run_inclusion(plan, small_model,
+                                 *hg.ladder_pass(plan, small_model))
+        assert table.rungs[-1].rank < 2 * small_model.K
+        dual = am.dual_boundary_matrix
+        monkeypatch.setattr(am, "dual_boundary_matrix",
+                            lambda *args: np.conj(dual(*args)))
+        conj = hg.run_inclusion(plan, small_model,
+                                *hg.ladder_pass(plan, small_model))
+        assert max(abs(a.max_residual - b.max_residual)
+                   for a, b in zip(table.rungs, conj.rungs)) > 1e-3
 
 
 class TestBulkGenerators:
