@@ -11,8 +11,10 @@ nu_+ = 1/2 + nu.  Without perturbation the eigenpairs are Gegenbauer:
 omega_k = nu_+ + k, phi_k = N_k cos^{nu_+}(x) C_k^{(nu_+)}(sin x); modes are
 sign-fixed so that the boundary amplitude at x = -pi/2 is positive.
 
-All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; test functions
-are densitized (multiplied by sec^2 x) once at ingestion.
+All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; bulk test
+functions are sampled densitized (multiplied by sec^2 x) on the model grid.
+The boundary dual map and the unique-continuation scan share one boundary
+trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k).
 
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
@@ -241,13 +243,11 @@ def build_model(nu, K, N=512, perturbation=None, support_margin=3):
 
 @dataclass(frozen=True)
 class BulkTestFunction:
-    """Samples of an interior test function on a (t, x) product grid."""
+    """Densitized samples of an interior test function on the product of a
+    time grid and the model x grid."""
 
     t_grid: np.ndarray
-    x_grid: np.ndarray
-    values: np.ndarray            # shape (nt, nx)
-    densitized: bool
-    x_weights: np.ndarray
+    values: np.ndarray            # shape (nt, len(model.x))
     support_t: tuple
     support_x: tuple
 
@@ -265,21 +265,6 @@ class BoundaryTestFunction:
     t_grid: np.ndarray
     samples: np.ndarray
     support: tuple                # union of (t0, t1) intervals
-
-    @property
-    def t_step(self):
-        return float(self.t_grid[1] - self.t_grid[0])
-
-
-@dataclass(frozen=True)
-class OneParticleVector:
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ShapeError("coefficients must be a finite complex vector")
-        object.__setattr__(self, "coeffs", c)
 
 
 def _check_margin(model, x_lo, x_hi):
@@ -331,29 +316,8 @@ def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
     prof_x[np.abs(xg - x_center) > n_sigma * x_width] = 0.0
     prof_t[np.abs(t - t_center) > n_sigma * t_width] = 0.0
     values = amplitude * np.outer(prof_t, prof_x) / np.cos(xg) ** 2
-    return BulkTestFunction(t, xg, values, True, model.wq,
-                            (float(t0), float(t1)), (float(x0), float(x1)))
-
-
-def bulk_from_samples(model, t_grid, values, x_grid=None, densitized=True,
-                      support_x=None):
-    """Wrap raw samples; x defaults to the model grid (and its weights)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if x_grid is None:
-        x_grid = model.x
-        xw = model.wq
-    else:
-        x_grid = np.asarray(x_grid, dtype=float)
-        xw = _trapezoid_weights(x_grid)
-    if values.shape != (t_grid.size, x_grid.size):
-        raise ShapeError("values must have shape (nt, nx)")
-    if support_x is None:
-        support_x = (float(x_grid[0]), float(x_grid[-1]))
-    _check_margin(model, *support_x)
-    return BulkTestFunction(t_grid, x_grid, values, densitized, xw,
-                            (float(t_grid[0]), float(t_grid[-1])),
-                            tuple(support_x))
+    return BulkTestFunction(t, values, (float(t0), float(t1)),
+                            (float(x0), float(x1)))
 
 
 def boundary_bump(model, component, t_center, width, t_step=None,
@@ -379,20 +343,9 @@ def boundary_bump(model, component, t_center, width, t_step=None,
 # ----------------------------------------------------------------------
 # operations
 
-def _densitized(v):
-    if v.densitized:
-        return v.values
-    return v.values / np.cos(v.x_grid) ** 2
-
-
 def _mode_time_series(model, v):
     """vtilde_k(t_j) = integral phi_k(x) vtilde(t_j, x) dx, shape (nt, K)."""
-    if v.x_grid is model.x or (v.x_grid.shape == model.x.shape
-                               and np.array_equal(v.x_grid, model.x)):
-        m = model.mode_values
-    else:
-        m = model.eval_modes(v.x_grid)
-    return (_densitized(v) * v.x_weights) @ m.T
+    return (v.values * model.wq) @ model.mode_values.T
 
 
 def one_particle_map(model, v):
@@ -401,14 +354,11 @@ def one_particle_map(model, v):
     om = model.omegas
     wt = _trapezoid_weights(v.t_grid)
     phases = np.exp(-1j * np.outer(v.t_grid, om))          # (nt, K)
-    coeffs = (phases * vt * wt[:, None]).sum(axis=0) / np.sqrt(2.0 * om)
-    return OneParticleVector(coeffs)
+    return (phases * vt * wt[:, None]).sum(axis=0) / np.sqrt(2.0 * om)
 
 
 def embed_one_particle(c):
-    """Real 2K-vector (Re c, Im c) of a mode-coefficient vector."""
-    c = np.asarray(c.coeffs if isinstance(c, OneParticleVector) else c,
-                   dtype=complex)
+    """Real 2K-vector (Re c, Im c) of a mode-coefficient array."""
     return np.concatenate([c.real, c.imag])
 
 
@@ -475,71 +425,29 @@ def propagator_apply(model, v, which, t_out=None, x_out=None):
     return GridFunction(t_out, x_out, u_modes @ model.eval_modes(x_out))
 
 
-def pauli_jordan_apply(model, v, t_out, x=None):
-    """G v = (retarded - advanced) v, evaluated in closed form from the full
-    time integrals (valid at arbitrary output points)."""
-    om = model.omegas
-    vt = _mode_time_series(model, v)
-    wt = _trapezoid_weights(v.t_grid)
-    c_full = (np.cos(np.outer(v.t_grid, om)) * vt * wt[:, None]).sum(axis=0)
-    s_full = (np.sin(np.outer(v.t_grid, om)) * vt * wt[:, None]).sum(axis=0)
-    t_out = np.asarray(t_out, dtype=float)
-    u_modes = (np.sin(np.outer(t_out, om)) * c_full
-               - np.cos(np.outer(t_out, om)) * s_full) / om
-    xg = model.x if x is None else np.asarray(x, dtype=float)
-    return GridFunction(t_out, xg, u_modes @ model.eval_modes(xg))
-
-
-def symplectic_form(model, v1, v2):
-    """(v1 | G v2)_{L^2(M, g)} by double quadrature on v1's grid."""
-    _check_margin(model, *v1.support_x)
-    _check_margin(model, *v2.support_x)
-    gv2 = pauli_jordan_apply(model, v2, v1.t_grid, x=v1.x_grid)
-    wt = _trapezoid_weights(v1.t_grid)
-    inner_x = (_densitized(v1) * gv2.values * v1.x_weights).sum(axis=1)
-    return float((inner_x * wt).sum())
-
-
-def boundary_trace(model, coeffs, component, t_grid):
-    """Rescaled boundary values of the solution representative of coeffs."""
-    c = coeffs.coeffs if isinstance(coeffs, OneParticleVector) else \
-        np.asarray(coeffs, dtype=complex)
-    if c.shape != (model.K,):
-        raise ShapeError(f"expected {model.K} coefficients, got {c.shape}")
-    om = model.omegas
-    amp = model.betas(component) / np.sqrt(2.0 * om) * c
-    t_grid = np.asarray(t_grid, dtype=float)
-    return np.real(np.exp(-1j * np.outer(t_grid, om)) @ amp)
+def _trace_factor(model, component, t_grid, k=None):
+    """The boundary trace of the first k modes (all by default) on one
+    component: the amplitudes beta_k / sqrt(2 omega_k), shape (k,), and the
+    phase matrix e^{-i omega_k t_j}, shape (k, len(t_grid))."""
+    om = model.omegas[:k]
+    amp = model.betas(component)[:k] / np.sqrt(2.0 * om)
+    return amp, np.exp(-1j * np.outer(om, t_grid))
 
 
 def dual_boundary_matrix(model, component, t_grid, profiles):
-    """Mode coefficients of several smearings on one component and one time
-    grid, shape (K, len(profiles)): column i is the dual map of profiles[i].
+    """Boundary dual map of several smearings on one component and one time
+    grid, shape (K, len(profiles)).
 
-    The phase matrix e^{-i omega t} and the trapezoid weights are formed once
-    for the grid; each column is reduced on its own, exactly as a single
-    profile would be, so a column does not depend on the other profiles."""
-    om = model.omegas
+    Column i holds the mode coefficients d of profiles[i], in the
+    e^{-i omega t} convention of one_particle_map: the smeared trace of the
+    solution with coefficients c is Re sum_k d_k c_k.  Each column is reduced
+    on its own, so it does not depend on the other profiles."""
+    amp, phase = _trace_factor(model, component, t_grid)
     wt = _trapezoid_weights(t_grid)
-    phase = np.exp(-1j * np.outer(om, t_grid))
     fhat = np.empty((model.K, len(profiles)), dtype=complex)
     for i, p in enumerate(profiles):
         fhat[:, i] = (phase * (p * wt)).sum(axis=1)
-    return (model.betas(component) / np.sqrt(2.0 * om))[:, None] * fhat
-
-
-def dual_boundary_map(model, f):
-    """Mode coefficients of the boundary smearing f.
-
-    Uses the same e^{-i omega t} frequency convention as one_particle_map,
-    so these are the limits of bulk coefficients for sources concentrating
-    at the boundary; the smeared trace of a solution representative is
-    recovered through the real bilinear pairing Re sum_k d_k c_k.  This is
-    the one-column case of dual_boundary_matrix."""
-    if f.samples.size == 0 or not np.any(f.samples):
-        return OneParticleVector(np.zeros(model.K, dtype=complex))
-    return OneParticleVector(dual_boundary_matrix(
-        model, f.component, f.t_grid, [f.samples])[:, 0])
+    return amp[:, None] * fhat
 
 
 @dataclass(frozen=True)
@@ -558,21 +466,16 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
     if k_eff < 1 or k_eff > model.K:
         raise ShapeError(f"need 1 <= k_eff <= K, got {k_eff}")
     t_lattice = np.asarray(t_lattice, dtype=float)
-    om = model.omegas[:k_eff]
-    scale = 1.0 / np.sqrt(2.0 * om)
     dt = float(t_lattice[1] - t_lattice[0]) if t_lattice.size > 1 else 1.0
 
     rows = []
     for component, t0, t1 in o_intervals:
-        beta = model.betas(component)[:k_eff]
-        mask = (t_lattice >= t0) & (t_lattice <= t1)
-        ts = t_lattice[mask]
-        if ts.size == 0:
-            continue
-        phase = np.outer(ts, om)
-        block = np.hstack([np.cos(phase) * (beta * scale),
-                           np.sin(phase) * (beta * scale)])
-        rows.append(np.sqrt(dt) * block)
+        ts = t_lattice[(t_lattice >= t0) & (t_lattice <= t1)]
+        amp, phase = _trace_factor(model, component, ts, k_eff)
+        if ts.size:
+            # the real trace map on (Re c, Im c): cos blocks and sin blocks
+            rows.append(np.sqrt(dt) * np.hstack([phase.real.T * amp,
+                                                 -phase.imag.T * amp]))
 
     if not rows:
         return UcScanReport(0.0, ())

@@ -9,6 +9,7 @@ configuration error, or an experiment that cannot run at the given settings.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -106,6 +107,9 @@ def parse_config(path):
 
 
 def validate_config(cfg):
+    for f in fields(RunConfig):
+        if f.type is float and not math.isfinite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} must be a finite number")
     if cfg.nu <= 0.0:
         raise ConfigError("nu: Breitenlohner-Freedman bound requires nu > 0")
     if cfg.k < 1:
@@ -126,6 +130,17 @@ def validate_config(cfg):
     parse_perturbation(cfg.perturbation)
 
 
+def _finite_floats(bits, what):
+    """float(b) for b in bits; ConfigError unless each is a finite number."""
+    try:
+        vals = [float(b) for b in bits]
+    except ValueError:
+        raise ConfigError(f"cannot parse {what}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{what}: values must be finite numbers")
+    return vals
+
+
 def parse_ladder(text):
     try:
         return tuple(int(s) for s in text.split(","))
@@ -141,11 +156,8 @@ def parse_o_region(text):
         bits = part.split(":")
         if len(bits) != 3 or bits[0] not in ("+", "-"):
             raise ConfigError(f"cannot parse boundary interval {part!r}")
-        try:
-            ivs.append((bits[0], float(bits[1]), float(bits[2])))
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse boundary interval {part!r}") from None
+        ivs.append((bits[0], *_finite_floats(
+            bits[1:], f"boundary interval {part!r}")))
     return hg.boundary_region(ivs)
 
 
@@ -157,11 +169,7 @@ def parse_v_region(text):
         bits = part.split(":")
         if len(bits) != 4:
             raise ConfigError(f"cannot parse bulk rectangle {part!r}")
-        try:
-            rects.append(tuple(float(b) for b in bits))
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse bulk rectangle {part!r}") from None
+        rects.append(_finite_floats(bits, f"bulk rectangle {part!r}"))
     return hg.bulk_region(rects)
 
 
@@ -172,10 +180,7 @@ def parse_perturbation(text):
     if len(bits) != 3:
         raise ConfigError(f"cannot parse perturbation {text!r} "
                           "(want amp:center:width or none)")
-    try:
-        amp, center, width = (float(b) for b in bits)
-    except ValueError:
-        raise ConfigError(f"cannot parse perturbation {text!r}") from None
+    amp, center, width = _finite_floats(bits, f"perturbation {text!r}")
     if width <= 0:
         raise ConfigError("perturbation width must be positive")
     return lambda x: amp * am.mollifier((np.asarray(x) - center) / width)
@@ -523,6 +528,12 @@ def run(command, cfg, out_dir="."):
     if command != "check-all" and command not in _DISPATCH:
         print(f"unknown command {command!r}", file=sys.stderr)
         return 2
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write to output directory {out_dir!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     memo, code = {}, 0
     for sub in _DISPATCH if command == "check-all" else (command,):
         try:
@@ -534,7 +545,6 @@ def run(command, cfg, out_dir="."):
             print(f"error: {exc}", file=sys.stderr)
             code = 2
             continue
-        os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, f"{name}.csv"), cfg, sub,
                   header, rows)
         text = write_report(os.path.join(out_dir, f"{name}_report.txt"),
@@ -571,6 +581,10 @@ def main(argv=None):
             validate_config(cfg)
     except FileNotFoundError:
         print(f"error: config file {args.config!r} not found",
+              file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {args.config!r}: {exc}",
               file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -96,6 +96,21 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="positive"):
             cli.parse_config_text("[tolerances]\neig_tolerance = -1e-6\n")
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "nu", "nan"),
+        ("model", "nu", "inf"),
+        ("model", "perturbation", "1:nan:0.1"),
+        ("model", "perturbation", "inf:0:0.1"),
+        ("regions", "o", "-:-inf:1"),
+        ("regions", "v", "-0.5:0.5:-0.8:nan"),
+        ("experiment", "monotonicity_slack", "nan"),
+        ("tolerances", "quad_tolerance", "nan"),
+        ("tolerances", "eig_tolerance", "inf"),
+        ("tolerances", "pde_tolerance", "-inf")])
+    def test_non_finite_value_rejected(self, section, key, value):
+        with pytest.raises(cli.ConfigError, match="finite"):
+            cli.parse_config_text(f"[{section}]\n{key} = {value}\n")
+
 
 class TestSchema:
     def test_every_field_in_exactly_one_section(self):
@@ -156,6 +171,26 @@ class TestMain:
     def test_missing_config_file(self, capsys):
         assert cli.main(["modes", "--config", "/nonexistent.cfg"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "# \u00e9t\u00e9\n"],
+                             ids=["directory", "latin-1"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        p = tmp_path
+        if content is not None:
+            p = tmp_path / "run.cfg"
+            p.write_bytes(content.encode("latin-1"))
+        assert cli.main(["modes", "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read")
+
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["modes", "--out", str(out)]) == 2
+        # refused before the experiment runs, so no report is printed
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write")
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
