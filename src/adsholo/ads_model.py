@@ -147,6 +147,11 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
         x = -np.pi / 2 + (np.arange(n) + 0.5) * h
         xm = -np.pi / 2 + np.arange(n + 1) * h
         w = np.cos(x) ** (2 * nup)
+        ww = w[:-1] * w[1:]
+        if not ww.min() > 0.0:
+            raise ShapeError(
+                f"nu = {nu}: the weight cos^(2 nu_+) underflows in the wall "
+                f"cells of the {n}-cell finite-difference grid")
         wm = np.cos(xm) ** (2 * nup)
         wm[0] = 0.0
         wm[-1] = 0.0
@@ -154,7 +159,7 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
         if perturbation is not None:
             pot = pot + perturbation(x)
         diag = (wm[:-1] + wm[1:]) / (h * h * w) + pot
-        off = -wm[1:-1] / (h * h * np.sqrt(w[:-1] * w[1:]))
+        off = -wm[1:-1] / (h * h * np.sqrt(ww))
         vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                 select_range=(0, K - 1))
         return np.sqrt(vals)
@@ -248,23 +253,11 @@ class BulkTestFunction:
 
     t_grid: np.ndarray
     values: np.ndarray            # shape (nt, len(model.x))
-    support_t: tuple
     support_x: tuple
 
     @property
     def t_step(self):
         return float(self.t_grid[1] - self.t_grid[0])
-
-
-@dataclass(frozen=True)
-class BoundaryTestFunction:
-    """Samples f(t_j) of a compactly supported profile on one boundary
-    component."""
-
-    component: str
-    t_grid: np.ndarray
-    samples: np.ndarray
-    support: tuple                # union of (t0, t1) intervals
 
 
 def _check_margin(model, x_lo, x_hi):
@@ -316,28 +309,7 @@ def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
     prof_x[np.abs(xg - x_center) > n_sigma * x_width] = 0.0
     prof_t[np.abs(t - t_center) > n_sigma * t_width] = 0.0
     values = amplitude * np.outer(prof_t, prof_x) / np.cos(xg) ** 2
-    return BulkTestFunction(t, values, (float(t0), float(t1)),
-                            (float(x0), float(x1)))
-
-
-def boundary_bump(model, component, t_center, width, t_step=None,
-                  modulation=0.0, phase="cos", amplitude=1.0):
-    """Compactly supported mollifier profile on a boundary component,
-    optionally cosine/sine modulated."""
-    if component not in ("+", "-"):
-        raise ShapeError(f"unknown boundary component {component!r}")
-    if t_step is None:
-        t_step = min(0.15 / model.max_omega(), width / 40.0)
-    t0 = t_center - width
-    t1 = t_center + width
-    nt = int(np.ceil((t1 - t0) / t_step)) + 1
-    t = t0 + np.arange(nt) * t_step
-    f = amplitude * mollifier((t - t_center) / width)
-    if modulation:
-        carrier = np.cos if phase == "cos" else np.sin
-        f = f * carrier(modulation * (t - t_center))
-    return BoundaryTestFunction(component, t, f,
-                                ((float(t0), float(t1)),))
+    return BulkTestFunction(t, values, (float(x0), float(x1)))
 
 
 # ----------------------------------------------------------------------

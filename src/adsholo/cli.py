@@ -90,6 +90,8 @@ def parse_config_text(text):
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in "
                               f"[{section}]")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         typ = _SCHEMA[section][key]
         try:
             values[key] = typ(val) if typ is not str else val
@@ -149,8 +151,10 @@ def parse_ladder(text):
 
 
 def parse_o_region(text):
+    """Boundary region O as ((component, t0, t1), ...), the intervals on
+    each component ordered and disjoint; () for none."""
     if not text or text == "none":
-        return hg.boundary_region([])
+        return ()
     ivs = []
     for part in text.split(";"):
         bits = part.split(":")
@@ -158,19 +162,36 @@ def parse_o_region(text):
             raise ConfigError(f"cannot parse boundary interval {part!r}")
         ivs.append((bits[0], *_finite_floats(
             bits[1:], f"boundary interval {part!r}")))
-    return hg.boundary_region(ivs)
+    for comp, t0, t1 in ivs:
+        if not t0 < t1:
+            raise ConfigError(f"bad interval ({comp}, {t0}, {t1})")
+    for comp in ("+", "-"):
+        ts = [(t0, t1) for c, t0, t1 in ivs if c == comp]
+        if any(not a1 <= b0 for (_, a1), (b0, _) in zip(ts, ts[1:])):
+            raise ConfigError(
+                "boundary intervals must be ordered and disjoint")
+    return tuple(ivs)
 
 
 def parse_v_region(text):
+    """Bulk region V as ((t0, t1, x0, x1), ...), disjoint rectangles; ()
+    for none."""
     if not text or text == "none":
-        return hg.bulk_region([])
+        return ()
     rects = []
     for part in text.split(";"):
         bits = part.split(":")
         if len(bits) != 4:
             raise ConfigError(f"cannot parse bulk rectangle {part!r}")
-        rects.append(_finite_floats(bits, f"bulk rectangle {part!r}"))
-    return hg.bulk_region(rects)
+        rects.append(tuple(_finite_floats(bits, f"bulk rectangle {part!r}")))
+    for t0, t1, x0, x1 in rects:
+        if not (t0 < t1 and x0 < x1):
+            raise ConfigError(f"bad rectangle ({t0},{t1},{x0},{x1})")
+    for i, a in enumerate(rects):
+        for b in rects[i + 1:]:
+            if a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]:
+                raise ConfigError("bulk rectangles must be disjoint")
+    return tuple(rects)
 
 
 def parse_perturbation(text):
@@ -212,14 +233,16 @@ def checked_model(cfg, memo):
     the quadrature Gram residual of the modes, and the largest gap between
     the first min(k, 30) frequencies and the finite-difference oracle."""
     perturbation = parse_perturbation(cfg.perturbation)
+    # the oracle goes first: it rejects a nu whose weight cos^(2 nu_+)
+    # underflows before the model build meets the same underflow
+    k_check = min(cfg.k, 30)
+    fd = once(memo, ("fd", k_check), lambda: am.fd_mode_frequencies(
+        cfg.nu, k_check, 2000, perturbation=perturbation))
     model = once(memo, ("model", cfg.k), lambda: am.build_model(
         cfg.nu, cfg.k, cfg.n, perturbation=perturbation,
         support_margin=cfg.support_margin))
     gram = (model.mode_values * model.wq) @ model.mode_values.T
     ortho = float(np.abs(gram - np.eye(cfg.k)).max())
-    k_check = min(cfg.k, 30)
-    fd = once(memo, ("fd", k_check), lambda: am.fd_mode_frequencies(
-        cfg.nu, k_check, 2000, perturbation=perturbation))
     err = float(np.abs(fd - model.omegas[:k_check]).max())
     return model, [
         ("mode_orthonormality [one_particle quadrature Gram]", ortho,

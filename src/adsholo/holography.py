@@ -13,7 +13,6 @@ and the embedded bulk generators, which a run computes once and shares.
 """
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -27,58 +26,9 @@ class CompressionRankError(ValueError):
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """A boundary region (component + time intervals) or a bulk region
-    (union of (t, x) rectangles)."""
-
-    kind: str
-    intervals: tuple = ()      # boundary: ((component, t0, t1), ...)
-    rectangles: tuple = ()     # bulk: ((t0, t1, x0, x1), ...)
-
-    def __post_init__(self):
-        if self.kind not in ("boundary", "bulk"):
-            raise pc.ShapeError(f"unknown region kind {self.kind!r}")
-        if self.kind == "boundary":
-            per_comp = {}
-            for comp, t0, t1 in self.intervals:
-                if comp not in ("+", "-") or not t0 < t1:
-                    raise pc.ShapeError(f"bad interval ({comp}, {t0}, {t1})")
-                per_comp.setdefault(comp, []).append((t0, t1))
-            for ivs in per_comp.values():
-                for (a0, a1), (b0, b1) in zip(ivs, ivs[1:]):
-                    if not a1 <= b0:
-                        raise pc.ShapeError(
-                            "boundary intervals must be ordered and disjoint")
-        else:
-            rects = self.rectangles
-            for t0, t1, x0, x1 in rects:
-                if not (t0 < t1 and x0 < x1):
-                    raise pc.ShapeError(f"bad rectangle ({t0},{t1},{x0},{x1})")
-            for i, a in enumerate(rects):
-                for b in rects[i + 1:]:
-                    if a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]:
-                        raise pc.ShapeError("bulk rectangles must be disjoint")
-
-    @property
-    def empty(self):
-        return not (self.intervals if self.kind == "boundary"
-                    else self.rectangles)
-
-
-def boundary_region(intervals):
-    return RegionSpec("boundary", intervals=tuple(
-        (c, float(a), float(b)) for c, a, b in intervals))
-
-
-def bulk_region(rectangles):
-    return RegionSpec("bulk", rectangles=tuple(
-        tuple(float(v) for v in r) for r in rectangles))
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
-    o_region: RegionSpec
-    v_region: RegionSpec
+    o_region: tuple     # boundary O: ((component, t0, t1), ...)
+    v_region: tuple     # bulk V: ((t0, t1, x0, x1), ...)
     ladder: tuple
     n_bulk: int
     seed: int
@@ -88,66 +38,64 @@ class ExperimentPlan:
             raise pc.ShapeError("ladder must be strictly increasing")
         if any(s < 1 for s in self.ladder):
             raise pc.ShapeError("ladder entries must be >= 1")
-        if self.o_region.kind != "boundary" or self.v_region.kind != "bulk":
-            raise pc.ShapeError("o_region must be boundary, v_region bulk")
 
 
 def boundary_dictionary(model, o_region, size):
-    """First `size` elements of a deterministic dyadic stream of bumps in O.
+    """First `size` elements of a deterministic dyadic stream of bumps in O,
+    as one (component, t_grid, profiles) group per bump center.
 
-    Level l places 2^l mollifier bumps per interval, each optionally
-    modulated at l+1 equispaced frequencies up to the top model frequency,
-    in cosine and sine phase.  Because dictionaries of different sizes are
-    prefixes of one stream, their spans are nested.
+    Level l places 2^l mollifier bumps per interval.  Each center gives the
+    plain bump and the bump modulated at l equispaced frequencies up to the
+    top model frequency, in cosine and sine phase: 2l + 1 profiles on the
+    center's time grid.  The last group is cut at `size`.  Because
+    dictionaries of different sizes are prefixes of one stream, their spans
+    are nested.
     """
     if size < 1:
         raise pc.ShapeError("size must be >= 1")
-    if o_region.empty:
+    if not o_region:
         return []
     om_max = model.max_omega()
-    out = []
+    groups = []
+    left = size
     level = 0
-    while len(out) < size:
-        for comp, t0, t1 in o_region.intervals:
+    while True:
+        for comp, t0, t1 in o_region:
             length = t1 - t0
             n_c = 2 ** level
             width = 0.95 * length / (2 * n_c)
+            t_step = min(0.15 / om_max, width / 40.0)
             for i in range(n_c):
                 center = t0 + (i + 0.5) * length / n_c
-                for m in range(level + 1):
-                    mu = m * om_max / max(level, 1)
-                    for ph in (("cos",) if m == 0 else ("cos", "sin")):
-                        out.append(am.boundary_bump(
-                            model, comp, center, width,
-                            modulation=mu, phase=ph))
-                        if len(out) == size:
-                            return out
+                lo, hi = center - width, center + width
+                nt = int(np.ceil((hi - lo) / t_step)) + 1
+                t = lo + np.arange(nt) * t_step
+                u = t - center
+                bump = am.mollifier(u / width)
+                profiles = [bump]
+                for m in range(1, level + 1):
+                    mu = m * om_max / level
+                    profiles += [bump * np.cos(mu * u), bump * np.sin(mu * u)]
+                groups.append((comp, t, profiles[:left]))
+                left -= len(profiles)
+                if left <= 0:
+                    return groups
         level += 1
-    return out
 
 
 def boundary_ladder(model, o_region, ladder):
     """Orthonormal basis of the boundary span for each rung of the ladder.
 
-    The dictionary is dual-mapped once at the top size into the columns of
-    one 2K x max(ladder) matrix; rung s is the span basis of its first s
-    columns, the vectors a dictionary of size s would give.  The bumps at
-    one center share their time grid, so each run of consecutive elements
-    on one component and one grid takes one dual_boundary_matrix call, and
-    one phase matrix.  An empty region gives 2K x 0 bases.
+    The dictionary is dual-mapped once at the top size, one
+    dual_boundary_matrix call per bump center, into the columns of one
+    2K x max(ladder) matrix; rung s is the span basis of its first s
+    columns, the vectors a dictionary of size s would give.  An empty region
+    gives 2K x 0 bases.
     """
-    fam = boundary_dictionary(model, o_region, max(ladder))
-    k = model.K
-    g = np.zeros((2 * k, len(fam)))
-    col = 0
-    for (comp, _), group in groupby(fam, key=lambda f: (f.component,
-                                                         f.t_grid.tobytes())):
-        group = list(group)
-        d = am.dual_boundary_matrix(model, comp, group[0].t_grid,
-                                    [f.samples for f in group])
-        g[:k, col:col + len(group)] = d.real
-        g[k:, col:col + len(group)] = d.imag
-        col += len(group)
+    d = np.hstack([np.zeros((model.K, 0))] + [
+        am.dual_boundary_matrix(model, *group)
+        for group in boundary_dictionary(model, o_region, max(ladder))])
+    g = np.vstack([d.real, d.imag])
     return [pc.span_basis(g[:, :s]) for s in ladder]
 
 
@@ -155,14 +103,13 @@ def bulk_generators(model, v_region, count, seed=0):
     """Seeded smooth bumps with random centers/widths inside V."""
     if count < 1:
         raise pc.ShapeError("count must be >= 1")
-    if v_region.empty:
+    if not v_region:
         return []
     rng = np.random.default_rng(seed)
-    rects = v_region.rectangles
     om_max = model.max_omega()
     out = []
     for i in range(count):
-        t0, t1, x0, x1 = rects[i % len(rects)]
+        t0, t1, x0, x1 = v_region[i % len(v_region)]
         t_half = 0.5 * (t1 - t0)
         x_half = 0.5 * (x1 - x0)
         u_t = rng.uniform(0.3, 0.7)
@@ -190,13 +137,12 @@ def ladder_pass(plan, model):
 def _uc_reference(model, o_region):
     """sigma_min of the trace-sampling map over O, at the full cutoff."""
     lat_step = min(0.01, 0.15 / model.max_omega())
-    t_lo = min(t0 for _, t0, _ in o_region.intervals)
-    t_hi = max(t1 for _, _, t1 in o_region.intervals)
+    t_lo = min(t0 for _, t0, _ in o_region)
+    t_hi = max(t1 for _, _, t1 in o_region)
     n = int(np.ceil((t_hi - t_lo) / lat_step)) + 1
     lattice = t_lo + np.arange(n) * lat_step
     try:
-        return am.uc_scan(model, list(o_region.intervals), model.K,
-                          lattice).sigma_min
+        return am.uc_scan(model, o_region, model.K, lattice).sigma_min
     except am.UnderdeterminedError:
         return float("nan")
 
@@ -236,7 +182,7 @@ def run_inclusion(plan, model, bases, w):
                                    float(r.mean()) if r.size else 0.0,
                                    u.shape[1]))
 
-    vacuous = plan.o_region.empty or not w.shape[1]
+    vacuous = not plan.o_region or not w.shape[1]
     return InclusionTable(tuple(rungs), 0.0 if vacuous
                           else _uc_reference(model, plan.o_region))
 

@@ -1,6 +1,8 @@
 """Reference operations that the tests compare the package with and the
 command line never runs: each is a second path to a number the package
 computes another way."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from adsholo import ads_model as am
@@ -8,8 +10,57 @@ from adsholo import ads_model as am
 
 def bulk_from_samples(t_grid, values, support_x):
     """A bulk test function from densitized samples on the model x grid."""
-    return am.BulkTestFunction(t_grid, values,
-                               (float(t_grid[0]), float(t_grid[-1])), support_x)
+    return am.BulkTestFunction(t_grid, values, support_x)
+
+
+@dataclass(frozen=True)
+class BoundaryBump:
+    """Samples f(t_j) of a compactly supported profile on one boundary
+    component."""
+
+    component: str
+    t_grid: np.ndarray
+    samples: np.ndarray
+
+
+def boundary_bump(model, component, t_center, width, t_step=None,
+                  modulation=0.0, phase="cos"):
+    """One dictionary element on its own: a mollifier profile on a boundary
+    component, optionally cosine/sine modulated, on its own time grid."""
+    if t_step is None:
+        t_step = min(0.15 / model.max_omega(), width / 40.0)
+    t0 = t_center - width
+    t1 = t_center + width
+    nt = int(np.ceil((t1 - t0) / t_step)) + 1
+    t = t0 + np.arange(nt) * t_step
+    f = am.mollifier((t - t_center) / width)
+    if modulation:
+        carrier = np.cos if phase == "cos" else np.sin
+        f = f * carrier(modulation * (t - t_center))
+    return BoundaryBump(component, t, f)
+
+
+def bump_stream(model, o_region, size):
+    """The first `size` elements of the boundary dictionary stream, each
+    built on its own: what holography.boundary_dictionary builds one bump
+    center at a time."""
+    om_max = model.max_omega()
+    out = []
+    level = 0
+    while o_region and len(out) < size:
+        for comp, t0, t1 in o_region:
+            length = t1 - t0
+            n_c = 2 ** level
+            width = 0.95 * length / (2 * n_c)
+            for i in range(n_c):
+                center = t0 + (i + 0.5) * length / n_c
+                for m in range(level + 1):
+                    mu = m * om_max / max(level, 1)
+                    for ph in (("cos",) if m == 0 else ("cos", "sin")):
+                        out.append(boundary_bump(model, comp, center, width,
+                                                 modulation=mu, phase=ph))
+        level += 1
+    return out[:size]
 
 
 def symplectic_form(model, v1, v2):

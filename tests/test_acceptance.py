@@ -116,7 +116,7 @@ def worst_boundary_dual_identity(model, rng):
     boundary trace."""
     worst = 0.0
     for _ in range(50):
-        f = am.boundary_bump(model, rng.choice(["-", "+"]),
+        f = ro.boundary_bump(model, rng.choice(["-", "+"]),
                              rng.uniform(-1, 1), rng.uniform(0.3, 1.0),
                              modulation=rng.uniform(0, 20),
                              phase=rng.choice(["cos", "sin"]))
@@ -258,9 +258,7 @@ def test_criterion_7_contrast_small_window(default_plan, default_model,
                                            inclusion_run):
     import dataclasses
     table6, _ = inclusion_run
-    small = dataclasses.replace(
-        default_plan,
-        o_region=hg.boundary_region([("-", -0.5, 0.5)]))
+    small = dataclasses.replace(default_plan, o_region=(("-", -0.5, 0.5),))
     table = hg.run_inclusion(small, default_model,
                              *hg.ladder_pass(small, default_model))
     ratio = table.plateau / max(table6.plateau, 1e-300)

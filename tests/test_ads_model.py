@@ -311,14 +311,13 @@ class TestBoundaryMaps:
         assert np.abs(extrap - tr).max() < 1e-5
 
     def test_dual_map_zero(self, model):
-        f = am.BoundaryTestFunction("-", np.linspace(0, 1, 20),
-                                    np.zeros(20), ((0.0, 1.0),))
+        f = ro.BoundaryBump("-", np.linspace(0, 1, 20), np.zeros(20))
         assert np.abs(dual_map(model, f)).max() == 0.0
 
     def test_dual_map_narrow_bump_closed_form(self, model_half):
         # unit-mass narrow bump at t = 0 on component -:
         # coeffs_k -> sqrt((k+1)/pi)
-        f = am.boundary_bump(model_half, "-", 0.0, 0.02, t_step=0.0005)
+        f = ro.boundary_bump(model_half, "-", 0.0, 0.02, t_step=0.0005)
         mass = float(np.trapezoid(f.samples, f.t_grid))
         d = dual_map(model_half, f) / mass
         expect = np.sqrt((1.0 + np.arange(30)) / np.pi)
@@ -328,7 +327,7 @@ class TestBoundaryMaps:
     def test_riesz_identity(self, model):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            f = am.boundary_bump(model, rng.choice(["-", "+"]),
+            f = ro.boundary_bump(model, rng.choice(["-", "+"]),
                                  rng.uniform(-1, 1), rng.uniform(0.3, 1.0),
                                  modulation=rng.uniform(0, 20),
                                  phase=rng.choice(["cos", "sin"]))

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,11 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="unknown key 'seed'"):
             cli.parse_config_text("[model]\nseed = 3\n")
 
+    def test_duplicate_key_reports_line(self):
+        with pytest.raises(cli.ConfigError,
+                           match="line 3: duplicate key 'k'"):
+            cli.parse_config_text("[model]\nk = 3\nk = 5\n")
+
 
 class TestConfigValidation:
     def test_bf_bound(self):
@@ -87,6 +96,32 @@ class TestConfigValidation:
             cli.parse_config_text("[regions]\no = left:0:1\n")
         with pytest.raises(cli.ConfigError):
             cli.parse_config_text("[regions]\nv = 0:1:0\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        pytest.param("o", "-:0:2;-:1:3", "ordered and disjoint",
+                     id="overlapping-intervals"),
+        pytest.param("o", "-:2:3;-:0:1", "ordered and disjoint",
+                     id="unordered-intervals"),
+        pytest.param("o", "+:1:1", "bad interval", id="t0-not-below-t1"),
+        pytest.param("v", "0:1:0.5:0.5", "bad rectangle",
+                     id="flat-rectangle"),
+        pytest.param("v", "0:1:0:1;0.5:2:0.5:2", "must be disjoint",
+                     id="overlapping-rectangles")])
+    def test_bad_region_rejected(self, key, value, message):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config_text(f"[regions]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("key,value,region", [
+        pytest.param("o", "-:0:2;+:0:2", (("-", 0.0, 2.0), ("+", 0.0, 2.0)),
+                     id="same-window-on-both-components"),
+        pytest.param("v", "0:1:-0.5:0.5;2:3:-0.5:0.5",
+                     ((0.0, 1.0, -0.5, 0.5), (2.0, 3.0, -0.5, 0.5)),
+                     id="disjoint-rectangles"),
+        pytest.param("o", "none", (), id="empty-o"),
+        pytest.param("v", "none", (), id="empty-v")])
+    def test_region_parses_to_tuple(self, key, value, region):
+        cfg = cli.parse_config_text(f"[regions]\n{key} = {value}\n")
+        assert getattr(cli.effective_plan(cfg), f"{key}_region") == region
 
     def test_bad_perturbation(self):
         with pytest.raises(cli.ConfigError, match="perturbation"):
@@ -192,6 +227,16 @@ class TestMain:
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: cannot write")
 
+    @pytest.mark.parametrize("nu", ["50", "1e300"])
+    def test_large_nu_exits_2(self, tmp_path, capsys, nu):
+        # cos^(2 nu_+) underflows in the wall cells of the FD oracle grid
+        p = tmp_path / "run.cfg"
+        p.write_text(f"[model]\nnu = {nu}\n")
+        assert cli.main(["modes", "--config", str(p),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: nu = ")
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[model]\nnu = 0.0\n")
@@ -273,6 +318,27 @@ class TestDeterminism:
         a = (tmp_path / "a" / "uc_scan.csv").read_bytes()
         b = (tmp_path / "b" / "uc_scan.csv").read_bytes()
         assert a == b
+
+
+class TestBlasThreads:
+    def test_check_all_byte_identical_across_thread_counts(self, tmp_path):
+        # the default check-all in two processes whose BLAS uses one and
+        # two threads writes the same bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        procs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "adsholo.cli", "check-all",
+                 "--seed", "0", "--out", str(tmp_path / threads)],
+                env=env, stdout=subprocess.DEVNULL))
+        assert [p.wait() for p in procs] == [0, 0]
+        one, two = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                    for d in ("1", "2"))
+        assert len(one) == 14 and one == two
 
 
 class TestRunDispatch:
@@ -357,7 +423,7 @@ class TestRunDispatch:
                                                   monkeypatch):
         # one FD oracle per checked mode count (10, and 30 for the K = 48
         # propagator model), one model per cutoff and one dual-mapped
-        # dictionary, at one dual_boundary_matrix call per time grid: the
+        # dictionary, at one dual_boundary_matrix call per bump center: the
         # 80 bumps sit at 1 + 2 + 4 centers per component and 4 more on
         # the first; the second run repeats them, so nothing outlives it
         calls = {}

@@ -1,5 +1,4 @@
 import dataclasses
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -24,64 +23,55 @@ def small_model():
     return am.build_model(0.7, 12, 256)
 
 
-class TestRegionSpec:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(pc.ShapeError):
-            hg.RegionSpec("edge")
-
-    def test_rejects_overlapping_intervals(self):
-        with pytest.raises(pc.ShapeError):
-            hg.boundary_region([("-", 0.0, 2.0), ("-", 1.0, 3.0)])
-
-    def test_allows_same_window_on_both_components(self):
-        r = hg.boundary_region([("-", 0.0, 2.0), ("+", 0.0, 2.0)])
-        assert not r.empty
-
-    def test_rejects_overlapping_rectangles(self):
-        with pytest.raises(pc.ShapeError):
-            hg.bulk_region([(0, 1, 0, 1), (0.5, 2, 0.5, 2)])
-
-    def test_allows_disjoint_rectangles(self):
-        r = hg.bulk_region([(0, 1, -0.5, 0.5), (2, 3, -0.5, 0.5)])
-        assert len(r.rectangles) == 2
-
-    def test_empty_flags(self):
-        assert hg.boundary_region([]).empty
-        assert hg.bulk_region([]).empty
-
-
 class TestBoundaryDictionary:
     def test_single_bump(self, small_model):
-        o = hg.boundary_region([("-", -1.0, 1.0)])
-        fam = hg.boundary_dictionary(small_model, o, 1)
-        assert len(fam) == 1
-        assert fam[0].component == "-"
-        assert fam[0].support[0][0] >= -1.0 and fam[0].support[0][1] <= 1.0
+        groups = hg.boundary_dictionary(small_model, (("-", -1.0, 1.0),), 1)
+        assert len(groups) == 1
+        comp, t, profiles = groups[0]
+        assert comp == "-" and len(profiles) == 1
+        inside = t[profiles[0] != 0.0]
+        assert inside.min() >= -1.0 and inside.max() <= 1.0
 
     def test_empty_region(self, small_model):
-        assert hg.boundary_dictionary(small_model,
-                                      hg.boundary_region([]), 5) == []
+        assert hg.boundary_dictionary(small_model, (), 5) == []
+
+    def test_groups_are_the_bump_stream(self, small_model):
+        # each center's 2l + 1 profiles share its grid; the last group is
+        # cut at the size; the stream is the one of bumps built one by one
+        o = (("-", -2.0, 2.0), ("+", -2.0, 2.0))
+        groups = hg.boundary_dictionary(small_model, o, 23)
+        assert [len(p) for _, _, p in groups] == [1, 1, 3, 3, 3, 3, 5, 4]
+        ref = iter(ro.bump_stream(small_model, o, 23))
+        for comp, t, profiles in groups:
+            for p in profiles:
+                f = next(ref)
+                assert f.component == comp
+                assert np.array_equal(f.t_grid, t)
+                assert np.array_equal(f.samples, p)
+        assert next(ref, None) is None
 
     def test_prefix_property(self, small_model):
-        o = hg.boundary_region([("-", -2.0, 2.0), ("+", -2.0, 2.0)])
-        fam_small = hg.boundary_dictionary(small_model, o, 7)
-        fam_big = hg.boundary_dictionary(small_model, o, 23)
-        for a, b in zip(fam_small, fam_big):
-            assert a.component == b.component
-            assert np.array_equal(a.samples, b.samples)
+        o = (("-", -2.0, 2.0), ("+", -2.0, 2.0))
+        small = elements(hg.boundary_dictionary(small_model, o, 7))
+        big = elements(hg.boundary_dictionary(small_model, o, 23))
+        assert len(small) == 7 and len(big) == 23
+        for (ca, a), (cb, b) in zip(small, big):
+            assert ca == cb
+            assert np.array_equal(a, b)
 
     def test_supports_inside_region(self, small_model):
-        o = hg.boundary_region([("-", 0.5, 1.5)])
-        for f in hg.boundary_dictionary(small_model, o, 30):
-            (t0, t1), = f.support
-            assert t0 >= 0.5 - 1e-12 and t1 <= 1.5 + 1e-12
+        o = (("-", 0.5, 1.5),)
+        for _, t, profiles in hg.boundary_dictionary(small_model, o, 30):
+            for p in profiles:
+                inside = t[p != 0.0]
+                assert inside.min() >= 0.5 - 1e-12
+                assert inside.max() <= 1.5 + 1e-12
 
     def test_gram_rank_nondecreasing(self, small_model):
-        o = hg.boundary_region([("-", -2.0, 2.0), ("+", -2.0, 2.0)])
+        o = (("-", -2.0, 2.0), ("+", -2.0, 2.0))
         ranks = []
         for size in (4, 8, 16, 32):
-            fam = hg.boundary_dictionary(small_model, o, size)
-            s = np.linalg.svd(dual_matrix(small_model, fam),
+            s = np.linalg.svd(dual_matrix(small_model, o, size),
                               compute_uv=False)
             ranks.append(int(np.sum(s > 1e-10 * s[0])))
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
@@ -89,30 +79,23 @@ class TestBoundaryDictionary:
 
 
 class TestDualBoundaryMatrix:
-    """One phase matrix per time grid gives, column by column, the numbers
-    of one dual map per bump."""
+    """One dual_boundary_matrix call per bump center gives, column by
+    column, the numbers of one dual map per bump built on its own."""
 
     def test_columns_equal_per_bump_dual_maps(self, small_model):
-        # 166 elements end level 3 (8 centers) on both components, and
-        # each center's 2l + 1 bumps share one time grid
-        o = hg.boundary_region([("-", -2.0, 2.0), ("+", -2.0, 2.0)])
-        fam = hg.boundary_dictionary(small_model, o, 166)
-        groups = 0
-        for (comp, _), group in groupby(fam, key=lambda f: (
-                f.component, f.t_grid.tobytes())):
-            group = list(group)
-            d = am.dual_boundary_matrix(small_model, comp, group[0].t_grid,
-                                        [f.samples for f in group])
-            assert d.shape == (small_model.K, len(group))
-            for col, f in zip(d.T, group):
-                assert np.array_equal(col,
-                                      ro.per_bump_dual_map(small_model, f))
-            groups += 1
-        assert groups == 2 * (1 + 2 + 4 + 8)
+        # 166 elements end level 3 (8 centers) on both components
+        o = (("-", -2.0, 2.0), ("+", -2.0, 2.0))
+        groups = hg.boundary_dictionary(small_model, o, 166)
+        assert len(groups) == 2 * (1 + 2 + 4 + 8)
+        d = np.hstack([am.dual_boundary_matrix(small_model, *g)
+                       for g in groups])
+        ref = ro.bump_stream(small_model, o, 166)
+        assert d.shape == (small_model.K, len(ref))
+        for col, f in zip(d.T, ref):
+            assert np.array_equal(col, ro.per_bump_dual_map(small_model, f))
 
     def test_empty_region_gives_empty_ladder(self, small_model):
-        bases = hg.boundary_ladder(small_model, hg.boundary_region([]),
-                                   (5, 10))
+        bases = hg.boundary_ladder(small_model, (), (5, 10))
         assert [u.shape for u in bases] == [(2 * small_model.K, 0)] * 2
 
     def test_conjugated_dual_matrix_changes_residuals(self, small_plan,
@@ -120,8 +103,7 @@ class TestDualBoundaryMatrix:
                                                       monkeypatch):
         # on a short window the top rung does not span the 2K-dimensional
         # phase space, so the ladder sees the wrong frequency convention
-        plan = dataclasses.replace(
-            small_plan, o_region=hg.boundary_region([("-", -1.0, 1.0)]))
+        plan = dataclasses.replace(small_plan, o_region=(("-", -1.0, 1.0),))
         table = hg.run_inclusion(plan, small_model,
                                  *hg.ladder_pass(plan, small_model))
         assert table.rungs[-1].rank < 2 * small_model.K
@@ -136,39 +118,39 @@ class TestDualBoundaryMatrix:
 
 class TestBulkGenerators:
     def test_deterministic_under_seed(self, small_model):
-        v = hg.bulk_region([(-0.5, 0.5, -0.6, 0.6)])
+        v = ((-0.5, 0.5, -0.6, 0.6),)
         g1 = hg.bulk_generators(small_model, v, 3, seed=11)
         g2 = hg.bulk_generators(small_model, v, 3, seed=11)
         for a, b in zip(g1, g2):
             assert np.array_equal(a.values, b.values)
 
     def test_seed_changes_family(self, small_model):
-        v = hg.bulk_region([(-0.5, 0.5, -0.6, 0.6)])
+        v = ((-0.5, 0.5, -0.6, 0.6),)
         g1 = hg.bulk_generators(small_model, v, 3, seed=1)
         g2 = hg.bulk_generators(small_model, v, 3, seed=2)
         assert not np.array_equal(g1[0].values, g2[0].values)
 
     def test_supports_inside_region(self, small_model):
-        v = hg.bulk_region([(-0.5, 0.5, -0.6, 0.6)])
+        v = ((-0.5, 0.5, -0.6, 0.6),)
         for g in hg.bulk_generators(small_model, v, 6, seed=3):
-            assert g.support_t[0] >= -0.5 and g.support_t[1] <= 0.5
+            inside = g.t_grid[np.abs(g.values).max(axis=1) != 0.0]
+            assert inside.min() >= -0.5 and inside.max() <= 0.5
             assert g.support_x[0] >= -0.6 and g.support_x[1] <= 0.6
 
     def test_empty_region(self, small_model):
-        assert hg.bulk_generators(small_model, hg.bulk_region([]), 4) == []
+        assert hg.bulk_generators(small_model, (), 4) == []
 
 
 class TestRunInclusion:
     def test_empty_bulk_region_vacuous(self, small_plan, small_model):
-        plan = dataclasses.replace(small_plan, v_region=hg.bulk_region([]))
+        plan = dataclasses.replace(small_plan, v_region=())
         table = hg.run_inclusion(plan, small_model,
                                  *hg.ladder_pass(plan, small_model))
         assert all(r.max_residual == 0.0 for r in table.rungs)
 
     def test_empty_boundary_region_includes_nothing(self, small_plan,
                                                     small_model):
-        plan = dataclasses.replace(small_plan,
-                                   o_region=hg.boundary_region([]))
+        plan = dataclasses.replace(small_plan, o_region=())
         table = hg.run_inclusion(plan, small_model,
                                  *hg.ladder_pass(plan, small_model))
         assert all(r.max_residual == 1.0 and r.mean_residual == 1.0
@@ -193,12 +175,10 @@ class TestRunInclusion:
     def test_isotony_of_boundary_spans(self, small_model):
         # every O1-dictionary vector lies in the O2 >= O1 span built from
         # the same stream at larger size
-        o1 = hg.boundary_region([("-", -1.0, 1.0)])
-        fam1 = hg.boundary_dictionary(small_model, o1, 6)
-        fam2 = hg.boundary_dictionary(small_model, o1, 24)
-        u2 = pc.span_basis(dual_matrix(small_model, fam2))
+        o1 = (("-", -1.0, 1.0),)
+        u2 = pc.span_basis(dual_matrix(small_model, o1, 24))
         assert pc.relative_residuals(
-            u2, dual_matrix(small_model, fam1)).max() <= 1e-9
+            u2, dual_matrix(small_model, o1, 6)).max() <= 1e-9
 
     @given(nu=st.floats(0.3, 2.0), k=st.sampled_from([8, 12, 16]),
            tau=st.floats(-2.0, 2.0))
@@ -209,12 +189,10 @@ class TestRunInclusion:
         model = am.build_model(nu, k, 256)
         plan1 = dataclasses.replace(
             small_plan,
-            o_region=hg.boundary_region(
-                [(c, a + tau, b + tau)
-                 for c, a, b in small_plan.o_region.intervals]),
-            v_region=hg.bulk_region(
-                [(t0 + tau, t1 + tau, x0, x1)
-                 for t0, t1, x0, x1 in small_plan.v_region.rectangles]))
+            o_region=tuple((c, a + tau, b + tau)
+                           for c, a, b in small_plan.o_region),
+            v_region=tuple((t0 + tau, t1 + tau, x0, x1)
+                           for t0, t1, x0, x1 in small_plan.v_region))
         t0 = hg.run_inclusion(small_plan, model,
                               *hg.ladder_pass(small_plan, model))
         t1 = hg.run_inclusion(plan1, model, *hg.ladder_pass(plan1, model))
@@ -223,14 +201,21 @@ class TestRunInclusion:
                                                     abs=1e-12)
 
 
-def dual_matrix(model, fam):
+def elements(groups):
+    """[(component, profile)] of a boundary dictionary, in stream order."""
+    return [(comp, p) for comp, _, profiles in groups for p in profiles]
+
+
+def dual_matrix(model, o_region, size):
+    """The embedded dual maps of the first `size` stream bumps, each built
+    and dual-mapped on its own."""
     return np.column_stack([
-        am.embed_one_particle(ro.per_bump_dual_map(model, f)) for f in fam])
+        am.embed_one_particle(ro.per_bump_dual_map(model, f))
+        for f in ro.bump_stream(model, o_region, size)])
 
 
 def fresh_boundary_basis(model, o_region, size):
-    return pc.span_basis(dual_matrix(
-        model, hg.boundary_dictionary(model, o_region, size)))
+    return pc.span_basis(dual_matrix(model, o_region, size))
 
 
 class TestSharedLadder:
@@ -319,9 +304,3 @@ class TestLadderValidation:
     def test_rejects_nonpositive_entries(self, small_plan, ladder):
         with pytest.raises(pc.ShapeError, match="ladder entries"):
             dataclasses.replace(small_plan, ladder=ladder)
-
-    def test_rejects_swapped_regions(self, small_plan):
-        with pytest.raises(pc.ShapeError):
-            dataclasses.replace(small_plan,
-                                o_region=hg.bulk_region([(0, 1, 0, 0.5)]),
-                                v_region=hg.bulk_region([(0, 1, 0, 0.5)]))
