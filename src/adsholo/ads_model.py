@@ -14,7 +14,10 @@ sign-fixed so that the boundary amplitude at x = -pi/2 is positive.
 All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; bulk test
 functions are sampled densitized (multiplied by sec^2 x) on the model grid.
 The boundary dual map and the unique-continuation scan share one boundary
-trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k).
+trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k).  The
+propagator's time integral is an in-module equal-step cumulative Simpson
+rule (Cartwright 2017): SciPy's cumulative_simpson on equal steps, with the
+same floating-point operations in the same order.
 
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
@@ -24,7 +27,6 @@ finite-difference oracle fd_mode_frequencies.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 
@@ -356,6 +358,29 @@ def _aligned_indices(v, t_out):
     return idx.astype(int)
 
 
+def _cumulative_simpson(y, dx):
+    """Cumulative Simpson integral of y along axis 0 with equal steps dx,
+    starting from 0; the same shape as y, which needs at least 3 samples.
+
+    Each step gets the three-point quadratic integral
+    dx/3 (5 f1/4 + 2 f2 - f3/4) from the samples after it (forward) or, on
+    odd steps and the last one, from the samples before it (reversed)."""
+    if y.shape[0] < 3:
+        raise ShapeError(f"need at least 3 samples, got {y.shape[0]}")
+
+    def steps(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    fwd, rev = steps(y), steps(y[::-1])[::-1]
+    sub = np.empty_like(y[1:], dtype=fwd.dtype)
+    sub[:-1:2] = fwd[::2]
+    sub[1::2] = rev[::2]
+    sub[-1] = rev[-1]
+    # + 0.0 turns a -0.0 sum into +0.0, as SciPy's initial=0.0 does
+    return np.concatenate([np.zeros_like(sub[:1]),
+                           np.cumsum(sub, axis=0) + 0.0])
+
+
 def propagator_apply(model, v, which, t_out=None, x_out=None):
     """Retarded or advanced Dirichlet solution of P u = v, mode by mode.
 
@@ -376,8 +401,8 @@ def propagator_apply(model, v, which, t_out=None, x_out=None):
     t_src = v.t_grid
     cos_s = np.cos(np.outer(t_src, om)) * vt
     sin_s = np.sin(np.outer(t_src, om)) * vt
-    c_cum = cumulative_simpson(cos_s, dx=v.t_step, axis=0, initial=0.0)
-    s_cum = cumulative_simpson(sin_s, dx=v.t_step, axis=0, initial=0.0)
+    c_cum = _cumulative_simpson(cos_s, v.t_step)
+    s_cum = _cumulative_simpson(sin_s, v.t_step)
 
     # source integral up to each output time: 0 before the source support
     # (c_cum[0] = 0), the full integral after it (c_cum[-1])

@@ -331,8 +331,10 @@ def cmd_modes(cfg, memo):
 
 def cmd_propagator(cfg, memo):
     lines = []
-    # the residual P u - v contains the mode-truncation error of the
-    # densitized source, so this check runs at a cutoff of at least 48
+    # the check runs at a cutoff of at least 48, where the mode-truncation
+    # error of the densitized source is small; for a perturbed model the
+    # residual P u - v follows the Galerkin basis size max(2K, K + 16) of
+    # build_model instead
     model = build_cfg_model(replace(cfg, k=max(cfg.k, 48)), memo)
     sig_t, sig_x = 0.3, 0.22
     v = am.bulk_bump(model, 0.0, 0.0, sig_t, sig_x, t_step=0.003,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 import reference_ops as ro
 from adsholo import ads_model as am
@@ -185,6 +186,36 @@ class TestSymplecticForm:
 
         assert ratio(0.3) < 1e-6
         assert ratio(1.6) > 1e-1  # timelike contrast
+
+
+class TestCumulativeSimpson:
+    # the propagator's time integral is a port of SciPy's equal-step
+    # cumulative_simpson; it must give the same bits, sign of zero included
+    @staticmethod
+    def assert_same_bits(y, dx):
+        ours = am._cumulative_simpson(y, dx)
+        ref = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+    @pytest.mark.parametrize("dx", [0.003, 0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("cols", [None, 7])
+    def test_matches_scipy(self, dx, cols):
+        rng = np.random.default_rng(11)
+        for n in range(3, 42):
+            y = rng.standard_normal(n if cols is None else (n, cols))
+            self.assert_same_bits(y, dx)
+
+    def test_zero_sum_is_positive_zero(self):
+        # a negative step turns the sub-integrals of a zero array into -0.0
+        self.assert_same_bits(np.zeros(5), -0.1)
+        self.assert_same_bits(np.zeros((6, 2)), -0.1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_samples_rejected(self, n):
+        with pytest.raises(pc.ShapeError):
+            am._cumulative_simpson(np.ones((n, 3)), 0.1)
 
 
 class TestPropagator:

@@ -341,6 +341,20 @@ class TestBlasThreads:
         assert len(one) == 14 and one == two
 
 
+class TestImportCost:
+    def test_cli_import_skips_integrate_and_optimize(self):
+        # a fresh interpreter importing the command line does not load the
+        # SciPy subpackages that nothing in it uses
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, adsholo.cli; print(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestRunDispatch:
     def test_unknown_command_exit_2(self, capsys):
         assert cli.run("bogus", cli.RunConfig()) == 2
