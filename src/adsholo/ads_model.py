@@ -21,7 +21,10 @@ same floating-point operations in the same order.
 
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
-finite-difference oracle fd_mode_frequencies.
+finite-difference oracle fd_mode_frequencies.  Results are plain arrays and
+numbers (uc_scan gives the smallest singular value), and every error class
+here is a phase_core.ShapeError, which the front end reports with exit
+code 2.
 """
 
 from dataclasses import dataclass, field
@@ -33,19 +36,19 @@ from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 from .phase_core import ShapeError
 
 
-class BFBoundError(ValueError):
+class BFBoundError(ShapeError):
     """nu <= 0 violates the Breitenlohner-Freedman bound."""
 
 
-class InvalidPerturbationError(ValueError):
+class InvalidPerturbationError(ShapeError):
     """Perturbation support touches the boundary margin."""
 
 
-class MarginError(ValueError):
+class MarginError(ShapeError):
     """Bulk test function support violates the interior margin."""
 
 
-class UnderdeterminedError(ValueError):
+class UnderdeterminedError(ShapeError):
     """Fewer boundary samples than truncated solution dimensions."""
 
 
@@ -447,14 +450,9 @@ def dual_boundary_matrix(model, component, t_grid, profiles):
     return amp[:, None] * fhat
 
 
-@dataclass(frozen=True)
-class UcScanReport:
-    sigma_min: float
-    singular_values: tuple
-
-
 def uc_scan(model, o_intervals, k_eff, t_lattice):
-    """Singular values of the truncated solution -> boundary-sample map.
+    """Smallest singular value of the truncated solution -> boundary-sample
+    map; 0 when no lattice time falls inside the intervals.
 
     o_intervals is a list of (component, t0, t1); samples are the lattice
     times falling inside the intervals, weighted by sqrt of the lattice
@@ -475,13 +473,12 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
                                                  -phase.imag.T * amp]))
 
     if not rows:
-        return UcScanReport(0.0, ())
+        return 0.0
     a = np.vstack(rows)
     if a.shape[0] < 2 * k_eff:
         raise UnderdeterminedError(
             f"{a.shape[0]} samples for {2 * k_eff} solution dimensions")
-    sv = np.linalg.svd(a, compute_uv=False)
-    return UcScanReport(float(sv[-1]), tuple(float(s) for s in sv))
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def export_mode_table(model):

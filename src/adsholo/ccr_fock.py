@@ -21,7 +21,7 @@ WEYL_NORM_CAP = 2.0     # coherent displacement the default cutoff can support
 EXP_TOLERANCE = 1e-10
 
 
-class CutoffUnreliableError(ValueError):
+class CutoffUnreliableError(ShapeError):
     """The requested displacement exceeds what the occupation cutoff supports."""
 
 
@@ -135,22 +135,15 @@ def kw_field(rep, kd, ps, v):
     return segal_field(rep, kw_embedding(kd, v))
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
-    lhs: complex
-    rhs: float
-    abs_error: float
-
-
 def quasifree_expectation_check(rep, kd, ps, v):
-    """Compare the truncated vacuum expectation of exp(i phi(v)) with the
-    closed Gaussian form exp(-eta(v, v) / 2)."""
+    """Absolute gap between the truncated vacuum expectation of
+    exp(i phi(v)) and the closed Gaussian form exp(-eta(v, v) / 2)."""
     h = kw_embedding(kd, np.asarray(v, dtype=float))
     vac = np.zeros(rep.dim)
     vac[rep.vacuum_index] = 1.0
     lhs = complex(weyl_apply(rep, h, vac)[rep.vacuum_index])
     rhs = float(np.exp(-0.5 * (np.asarray(v) @ (ps.eta @ np.asarray(v)))))
-    return ExpectationReport(lhs, rhs, abs(lhs - rhs))
+    return abs(lhs - rhs)
 
 
 def strong_convergence_test(rep, h_seq, h_lim, psi_set):

@@ -10,6 +10,11 @@ column prefix of one matrix built at the top size, and the spans are nested.
 Residuals are monotone along the ladder up to the rank cutoff of the rung's
 SVD.  Both experiments are functions of one ladder pass: the rung span bases
 and the embedded bulk generators, which a run computes once and shares.
+
+The regions, the ladder, the bulk family size and the seed come in as plain
+arguments, and the results go out as plain rows and numbers; the command
+line turns them into checks and artifacts.  The Weyl run raises
+CompressionRankError, a phase_core.ShapeError, when it cannot go ahead.
 """
 
 from dataclasses import dataclass
@@ -21,23 +26,8 @@ from . import ccr_fock as cf
 from . import phase_core as pc
 
 
-class CompressionRankError(ValueError):
+class CompressionRankError(pc.ShapeError):
     """The Weyl experiment's two-dimensional compression is rank deficient."""
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    o_region: tuple     # boundary O: ((component, t0, t1), ...)
-    v_region: tuple     # bulk V: ((t0, t1, x0, x1), ...)
-    ladder: tuple
-    n_bulk: int
-    seed: int
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.ladder, self.ladder[1:])):
-            raise pc.ShapeError("ladder must be strictly increasing")
-        if any(s < 1 for s in self.ladder):
-            raise pc.ShapeError("ladder entries must be >= 1")
 
 
 def boundary_dictionary(model, o_region, size):
@@ -90,8 +80,13 @@ def boundary_ladder(model, o_region, ladder):
     dual_boundary_matrix call per bump center, into the columns of one
     2K x max(ladder) matrix; rung s is the span basis of its first s
     columns, the vectors a dictionary of size s would give.  An empty region
-    gives 2K x 0 bases.
+    gives 2K x 0 bases.  The ladder must be strictly increasing with
+    entries >= 1.
     """
+    if any(s < 1 for s in ladder):
+        raise pc.ShapeError("ladder entries must be >= 1")
+    if any(a >= b for a, b in zip(ladder, ladder[1:])):
+        raise pc.ShapeError("ladder must be strictly increasing")
     d = np.hstack([np.zeros((model.K, 0))] + [
         am.dual_boundary_matrix(model, *group)
         for group in boundary_dictionary(model, o_region, max(ladder))])
@@ -123,11 +118,11 @@ def bulk_generators(model, v_region, count, seed=0):
     return out
 
 
-def ladder_pass(plan, model):
+def ladder_pass(model, o_region, v_region, ladder, n_bulk, seed):
     """(bases, w): the rung span bases of boundary_ladder and the (2K, n_bulk)
     matrix of embedded bulk generators, the inputs both experiments share."""
-    bases = boundary_ladder(model, plan.o_region, plan.ladder)
-    bulk = bulk_generators(model, plan.v_region, plan.n_bulk, seed=plan.seed)
+    bases = boundary_ladder(model, o_region, ladder)
+    bulk = bulk_generators(model, v_region, n_bulk, seed=seed)
     w = np.zeros((2 * model.K, len(bulk)))
     for i, v in enumerate(bulk):
         w[:, i] = am.embed_one_particle(am.one_particle_map(model, v))
@@ -142,60 +137,33 @@ def _uc_reference(model, o_region):
     n = int(np.ceil((t_hi - t_lo) / lat_step)) + 1
     lattice = t_lo + np.arange(n) * lat_step
     try:
-        return am.uc_scan(model, o_region, model.K, lattice).sigma_min
+        return am.uc_scan(model, o_region, model.K, lattice)
     except am.UnderdeterminedError:
         return float("nan")
 
 
 @dataclass(frozen=True)
-class InclusionRung:
-    dict_size: int
-    max_residual: float
-    mean_residual: float
-    rank: int           # numerical rank of the rung's boundary span
-
-
-@dataclass(frozen=True)
 class InclusionTable:
-    rungs: tuple
+    rungs: tuple        # (dict_size, max_residual, mean_residual, rank)
     sigma_min_ref: float
 
-    @property
-    def initial_residual(self):
-        return self.rungs[0].max_residual
 
-    @property
-    def plateau(self):
-        return self.rungs[-1].max_residual
-
-
-def run_inclusion(plan, model, bases, w):
-    """Residual ladder of the bulk vectors w against the rung bases.
+def run_inclusion(model, o_region, ladder, bases, w):
+    """Residual ladder of the bulk vectors w against the rung bases; a rung's
+    rank is the numerical rank of its boundary span.
 
     An empty O gives residual 1 for every nonzero bulk vector, an empty V
     residual 0; sigma_min_ref is 0 for either.
     """
     rungs = []
-    for size, u in zip(plan.ladder, bases):
+    for size, u in zip(ladder, bases):
         r = pc.relative_residuals(u, w)
-        rungs.append(InclusionRung(size, float(r.max(initial=0.0)),
-                                   float(r.mean()) if r.size else 0.0,
-                                   u.shape[1]))
+        rungs.append((size, float(r.max(initial=0.0)),
+                      float(r.mean()) if r.size else 0.0, u.shape[1]))
 
-    vacuous = not plan.o_region or not w.shape[1]
+    vacuous = not o_region or not w.shape[1]
     return InclusionTable(tuple(rungs), 0.0 if vacuous
-                          else _uc_reference(model, plan.o_region))
-
-
-@dataclass(frozen=True)
-class WeylReport:
-    dict_sizes: tuple
-    distances: tuple            # ||approximant - target||, full space
-    compressed_distances: tuple
-    errors: tuple               # max Weyl-operator error over the state set
-    fock_tails: tuple           # max weight on the top occupation shell
-    lipschitz: float
-    r_squared: float
+                          else _uc_reference(model, o_region))
 
 
 def _compress_directions(c_target, c_approx):
@@ -242,14 +210,19 @@ def _plane_embedding(z):
     return np.sqrt(2.0) * (-1j * z[::-1])
 
 
-def run_weyl_convergence(plan, bases, w, n_max=40):
-    """Weyl-operator convergence along the boundary approximant ladder.
+def run_weyl_convergence(ladder, bases, w, n_max=40):
+    """Weyl-operator convergence along the boundary approximant ladder, as
+    (rows, lipschitz, r_squared).
 
     The first bulk vector of ladder_pass (rescaled to norm 1/2) and its
     orthogonal projections onto the boundary spans are compressed to the
     complex plane spanned by the target and the dominant residual direction;
     the compressed pure-state Weyl operators are compared on the vacuum and a
-    one-particle vector.
+    one-particle vector.  One row per rung: (dict_size, distance of the
+    approximant from the target, the same in the compressed plane, largest
+    Weyl-operator error over the two vectors, largest weight on the top
+    occupation shell).  The least-squares fit of the errors on the distances
+    gives the Lipschitz slope and its R^2.
     """
     if not w.shape[1]:
         raise CompressionRankError("bulk region is empty; no target vector")
@@ -282,8 +255,7 @@ def run_weyl_convergence(plan, bases, w, n_max=40):
         [vac, one])
 
     lip, r2 = _fit_through_data(distances, errors)
-    return WeylReport(tuple(plan.ladder), tuple(distances), tuple(comp_dist),
-                      tuple(errors), tuple(tails), lip, r2)
+    return list(zip(ladder, distances, comp_dist, errors, tails)), lip, r2
 
 
 def nested_uc_family(model, t_halves):
@@ -292,5 +264,5 @@ def nested_uc_family(model, t_halves):
     t_max = max(t_halves)
     n = int(np.ceil(2 * t_max / 0.01)) + 1
     lattice = -t_max + np.arange(n) * 0.01
-    return [am.uc_scan(model, [("-", -th, th), ("+", -th, th)], 4,
-                       lattice).sigma_min for th in t_halves]
+    return [am.uc_scan(model, [("-", -th, th), ("+", -th, th)], 4, lattice)
+            for th in t_halves]

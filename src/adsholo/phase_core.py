@@ -17,18 +17,21 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Inputs have inconsistent dimensions or broken (anti)symmetry."""
+    """A computation cannot run on its inputs or settings: inconsistent
+    dimensions or broken (anti)symmetry here, a more specific cause in a
+    subclass.  Every error class of the package other than the command
+    line's ConfigError derives from it."""
 
 
-class DegenerateCovarianceError(ValueError):
+class DegenerateCovarianceError(ShapeError):
     """eta has an eigenvalue at or below the relative rank cutoff."""
 
 
-class KernelParityError(ValueError):
+class KernelParityError(ShapeError):
     """ker(b) is odd-dimensional, so no anti-involution exists on it."""
 
 
-class PositivityViolationError(ValueError):
+class PositivityViolationError(ShapeError):
     """sigma is not dominated by the covariance at the requested factor."""
 
 

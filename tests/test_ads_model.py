@@ -376,14 +376,11 @@ class TestBoundaryMaps:
 
 class TestUcScan:
     def test_empty_region(self, model):
-        rep = am.uc_scan(model, [], 4, np.linspace(-1, 1, 100))
-        assert rep.sigma_min == 0.0 and rep.singular_values == ()
+        assert am.uc_scan(model, [], 4, np.linspace(-1, 1, 100)) == 0.0
 
     def test_single_mode_full_period_injective(self, model):
         lat = np.linspace(-np.pi, np.pi, 200)
-        rep = am.uc_scan(model, [("-", -np.pi, np.pi)], 1, lat)
-        assert rep.sigma_min > 0.0
-        assert len(rep.singular_values) == 2
+        assert am.uc_scan(model, [("-", -np.pi, np.pi)], 1, lat) > 0.0
 
     def test_underdetermined_rejected(self, model):
         lat = np.linspace(-0.1, 0.1, 5)
@@ -395,5 +392,5 @@ class TestUcScan:
         sig = []
         for th in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             ivs = [("-", -th, th), ("+", -th, th)]
-            sig.append(am.uc_scan(model, ivs, 4, lat).sigma_min)
+            sig.append(am.uc_scan(model, ivs, 4, lat))
         assert all(a <= b + 1e-14 for a, b in zip(sig, sig[1:]))

@@ -292,32 +292,30 @@ class TestQuasifreeExpectation:
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(1, 10)
-        rep_chk = cf.quasifree_expectation_check(rep, kd, ps, [0.0, 0.0])
-        assert rep_chk.lhs == pytest.approx(1.0)
-        assert rep_chk.rhs == pytest.approx(1.0)
+        # exp(i phi(0)) = 1, and exp(-eta(0, 0) / 2) = 1 exactly
+        assert cf.quasifree_expectation_check(
+            rep, kd, ps, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_case_gaussian_form(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(1, 40)
-        chk = cf.quasifree_expectation_check(rep, kd, ps, [1.0, 0.0])
-        assert chk.abs_error <= 1e-6
+        assert cf.quasifree_expectation_check(rep, kd, ps, [1.0, 0.0]) <= 1e-6
 
     def test_error_sweep_within_unit_ball(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(1, 40)
         for s in (0.2, 0.5, 0.8, 1.0):
-            chk = cf.quasifree_expectation_check(rep, kd, ps, [s, 0.0])
-            assert chk.abs_error <= 1e-5
+            assert cf.quasifree_expectation_check(
+                rep, kd, ps, [s, 0.0]) <= 1e-5
 
     def test_mixed_state_expectation(self):
         # sigma = 0 with eta = identity: fully classical Gaussian state
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 30)
-        chk = cf.quasifree_expectation_check(rep, kd, ps, [0.7, 0.2])
-        assert chk.abs_error <= 1e-8
+        assert cf.quasifree_expectation_check(rep, kd, ps, [0.7, 0.2]) <= 1e-8
 
 
 class TestStrongConvergence:

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adsholo
 from adsholo import ads_model as am
+from adsholo import ccr_fock as cf
 from adsholo import cli
+from adsholo import phase_core as pc
 
 
 FAST = {"nu": 0.5, "k": 6, "n": 128}
@@ -17,6 +23,16 @@ FAST = {"nu": 0.5, "k": 6, "n": 128}
 
 def fast_cfg(**over):
     return dataclasses.replace(cli.RunConfig(), **{**FAST, **over})
+
+
+def package_errors():
+    """Every exception class defined in a module of the package."""
+    modules = [importlib.import_module(f"adsholo.{m.name}")
+               for m in pkgutil.iter_modules(adsholo.__path__)]
+    return sorted({obj for mod in modules for obj in vars(mod).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == mod.__name__},
+                  key=lambda cls: cls.__name__)
 
 
 def counted(calls, name, fn):
@@ -83,13 +99,23 @@ class TestConfigValidation:
             cli.parse_config_text("[model]\nk = 40\nn = 64\n")
 
     def test_ladder_must_increase(self):
-        with pytest.raises(cli.ConfigError, match="ladder"):
+        with pytest.raises(cli.ConfigError,
+                           match="ladder must be strictly increasing"):
             cli.parse_config_text("[experiment]\nladder = 10,10,20\n")
 
     @pytest.mark.parametrize("ladder", ["-3,5", "0,5"])
     def test_ladder_entries_positive(self, ladder):
-        with pytest.raises(cli.ConfigError, match="ladder entries"):
+        with pytest.raises(cli.ConfigError,
+                           match="ladder entries must be >= 1"):
             cli.parse_config_text(f"[experiment]\nladder = {ladder}\n")
+
+    def test_support_margin_must_leave_interior(self):
+        # no cell of the default n = 512 grid is n // 2 cells from both walls
+        text = "[tolerances]\nsupport_margin = {}\n"
+        with pytest.raises(cli.ConfigError,
+                           match=r"support_margin must be < n // 2"):
+            cli.parse_config_text(text.format(256))
+        assert cli.parse_config_text(text.format(255)).support_margin == 255
 
     def test_bad_region_strings(self):
         with pytest.raises(cli.ConfigError):
@@ -121,7 +147,8 @@ class TestConfigValidation:
         pytest.param("v", "none", (), id="empty-v")])
     def test_region_parses_to_tuple(self, key, value, region):
         cfg = cli.parse_config_text(f"[regions]\n{key} = {value}\n")
-        assert getattr(cli.effective_plan(cfg), f"{key}_region") == region
+        parse = {"o": cli.parse_o_region, "v": cli.parse_v_region}[key]
+        assert parse(getattr(cfg, key)) == region
 
     def test_bad_perturbation(self):
         with pytest.raises(cli.ConfigError, match="perturbation"):
@@ -236,6 +263,21 @@ class TestMain:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: nu = ")
+
+    @pytest.mark.parametrize("command", ["holo-inclusion",
+                                         "weyl-convergence", "propagator"])
+    def test_support_margin_past_the_grid_exits_2(self, tmp_path, capsys,
+                                                  command):
+        # a margin past the grid used to end in an IndexError traceback
+        p = tmp_path / "run.cfg"
+        p.write_text("[tolerances]\nsupport_margin = 100000\n")
+        assert cli.main([command, "--config", str(p),
+                         "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: support_margin must be < n // 2"]
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -461,9 +503,95 @@ class TestPropagatorResidual:
         def residual(k):
             cfg = dataclasses.replace(cli.RunConfig(), k=k,
                                       perturbation="0.8:0.1:0.4")
-            _, lines, *_ = cli.cmd_propagator(cfg, {})
-            line, = [l for l in lines if l.startswith("pde_residual")]
-            return float(line.split(": ")[1].split()[0])
+            checks, *_ = cli.cmd_propagator(cfg, {})
+            value, = [c[1] for c in checks if c[0].startswith("pde_residual")]
+            return value
 
         r48, r60 = residual(48), residual(60)
         assert r60 < r48 < 1e-3
+
+
+class TestRefusalContract:
+    """An experiment that cannot run raises ConfigError or a ShapeError, and
+    run reports either with exit code 2 and one error line."""
+
+    def test_every_error_is_config_or_shape_error(self):
+        errors = package_errors()
+        assert cli.ConfigError in errors and am.MarginError in errors
+        assert [cls.__name__ for cls in errors
+                if cls is not cli.ConfigError
+                and not issubclass(cls, pc.ShapeError)] == []
+
+    @pytest.mark.parametrize("error", package_errors(),
+                             ids=lambda cls: cls.__name__)
+    def test_run_refuses_with_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     error):
+        def refuse(cfg, memo):
+            raise error("cannot run at these settings")
+
+        monkeypatch.setitem(cli._DISPATCH, "modes", refuse)
+        assert cli.run("modes", cli.RunConfig(), str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot run at these settings"]
+        assert list(tmp_path.iterdir()) == []
+
+
+def scaled(fn):
+    """fn with its result scaled by 1.01."""
+    return lambda *args: 1.01 * fn(*args)
+
+
+def creation_scaled(segal_field):
+    """A field (a + 1.01 a*) / sqrt(2) that is not self-adjoint."""
+    return lambda rep, h: segal_field(rep, h) + (
+        0.01 / np.sqrt(2.0)) * cf.annihilation(rep, h).conj().T
+
+
+def displaced(weyl_apply):
+    """exp(i phi(1.01 h)) in place of exp(i phi(h))."""
+    return lambda rep, h, psis: weyl_apply(rep, 1.01 * np.asarray(h), psis)
+
+
+def doubled_dim_off_by_2(kahler_from_covariance):
+    def kahler(ps):
+        kd = kahler_from_covariance(ps)
+        return dataclasses.replace(kd, doubled_dim=kd.doubled_dim + 2)
+    return kahler
+
+
+class TestVerifyChecksFail:
+    """One injected fault per ccr-verify and kw-verify check fails it: its
+    report line ends in FAIL, run exits 1, and its CSV row carries the
+    value of the line."""
+
+    @pytest.mark.parametrize("command,check,module,name,fault", [
+        pytest.param(command, check, *fault, id=check)
+        for command, check, fault in [
+            ("ccr-verify", "vacuum_expectation_error",
+             (cf, "segal_field", scaled)),
+            ("ccr-verify", "weyl_adjoint_residual",
+             (cf, "segal_field", creation_scaled)),
+            ("kw-verify", "pure_commutator_residual",
+             (cf, "kw_field", scaled)),
+            ("kw-verify", "pure_quasifree_error",
+             (cf, "kw_embedding", scaled)),
+            ("kw-verify", "mixed_doubled_dim",
+             (pc, "kahler_from_covariance", doubled_dim_off_by_2)),
+            ("kw-verify", "mixed_commutator_residual",
+             (cf, "kw_field", scaled)),
+            ("kw-verify", "mixed_quasifree_error",
+             (cf, "weyl_apply", displaced))]])
+    def test_fault_fails_its_check(self, tmp_path, monkeypatch, command,
+                                   check, module, name, fault):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert cli.run(command, cli.RunConfig(), str(tmp_path)) == 1
+        stem = command.replace("-", "_")
+        line, = [l for l in (tmp_path / f"{stem}_report.txt")
+                 .read_text().splitlines() if l.startswith(f"{check} [")]
+        value, bound = re.fullmatch(r".*\]: (\S+) \(bound (\S+)\) FAIL",
+                                    line).groups()
+        row, = [l.split(",") for l in (tmp_path / f"{stem}.csv")
+                .read_text().splitlines() if l.startswith(f"{check},")]
+        assert row == [check, value, bound]

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +12,12 @@ from adsholo import phase_core as pc
 
 @pytest.fixture(scope="module")
 def small_plan():
-    return cli.effective_plan(dataclasses.replace(
-        cli.RunConfig(), ladder="10,20,40,80", n_bulk=4))
+    """The ladder_pass arguments of the default regions and seed, with a
+    short ladder and four bulk generators."""
+    cfg = cli.RunConfig()
+    return dict(o_region=cli.parse_o_region(cfg.o),
+                v_region=cli.parse_v_region(cfg.v),
+                ladder=(10, 20, 40, 80), n_bulk=4, seed=cfg.seed)
 
 
 @pytest.fixture(scope="module")
@@ -103,16 +105,14 @@ class TestDualBoundaryMatrix:
                                                       monkeypatch):
         # on a short window the top rung does not span the 2K-dimensional
         # phase space, so the ladder sees the wrong frequency convention
-        plan = dataclasses.replace(small_plan, o_region=(("-", -1.0, 1.0),))
-        table = hg.run_inclusion(plan, small_model,
-                                 *hg.ladder_pass(plan, small_model))
-        assert table.rungs[-1].rank < 2 * small_model.K
+        plan = {**small_plan, "o_region": (("-", -1.0, 1.0),)}
+        table = inclusion(small_model, plan)
+        assert table.rungs[-1][3] < 2 * small_model.K
         dual = am.dual_boundary_matrix
         monkeypatch.setattr(am, "dual_boundary_matrix",
                             lambda *args: np.conj(dual(*args)))
-        conj = hg.run_inclusion(plan, small_model,
-                                *hg.ladder_pass(plan, small_model))
-        assert max(abs(a.max_residual - b.max_residual)
+        conj = inclusion(small_model, plan)
+        assert max(abs(a[1] - b[1])
                    for a, b in zip(table.rungs, conj.rungs)) > 1e-3
 
 
@@ -143,34 +143,27 @@ class TestBulkGenerators:
 
 class TestRunInclusion:
     def test_empty_bulk_region_vacuous(self, small_plan, small_model):
-        plan = dataclasses.replace(small_plan, v_region=())
-        table = hg.run_inclusion(plan, small_model,
-                                 *hg.ladder_pass(plan, small_model))
-        assert all(r.max_residual == 0.0 for r in table.rungs)
+        table = inclusion(small_model, {**small_plan, "v_region": ()})
+        assert all(r[1] == 0.0 for r in table.rungs)
 
     def test_empty_boundary_region_includes_nothing(self, small_plan,
                                                     small_model):
-        plan = dataclasses.replace(small_plan, o_region=())
-        table = hg.run_inclusion(plan, small_model,
-                                 *hg.ladder_pass(plan, small_model))
-        assert all(r.max_residual == 1.0 and r.mean_residual == 1.0
-                   and r.rank == 0 for r in table.rungs)
+        table = inclusion(small_model, {**small_plan, "o_region": ()})
+        assert all(r[1:] == (1.0, 1.0, 0) for r in table.rungs)
         assert table.sigma_min_ref == 0.0
 
     def test_rank_is_span_dimension(self, small_plan, small_model):
-        table = hg.run_inclusion(small_plan, small_model,
-                                 *hg.ladder_pass(small_plan, small_model))
-        ranks = [r.rank for r in table.rungs]
+        table = inclusion(small_model, small_plan)
+        ranks = [r[3] for r in table.rungs]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
-        assert ranks[0] == small_plan.ladder[0]
+        assert ranks[0] == small_plan["ladder"][0]
         assert ranks[-1] <= 2 * small_model.K
 
     def test_residuals_monotone_and_witnessed(self, small_plan, small_model):
-        table = hg.run_inclusion(small_plan, small_model,
-                                 *hg.ladder_pass(small_plan, small_model))
-        res = [r.max_residual for r in table.rungs]
+        table = inclusion(small_model, small_plan)
+        res = [r[1] for r in table.rungs]
         assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
-        assert table.plateau < table.initial_residual
+        assert res[-1] < res[0]
 
     def test_isotony_of_boundary_spans(self, small_model):
         # every O1-dictionary vector lies in the O2 >= O1 span built from
@@ -187,18 +180,28 @@ class TestRunInclusion:
         # shifting O and V by tau multiplies every mode coefficient by
         # exp(-i omega tau), which preserves every residual
         model = am.build_model(nu, k, 256)
-        plan1 = dataclasses.replace(
-            small_plan,
-            o_region=tuple((c, a + tau, b + tau)
-                           for c, a, b in small_plan.o_region),
-            v_region=tuple((t0 + tau, t1 + tau, x0, x1)
-                           for t0, t1, x0, x1 in small_plan.v_region))
-        t0 = hg.run_inclusion(small_plan, model,
-                              *hg.ladder_pass(small_plan, model))
-        t1 = hg.run_inclusion(plan1, model, *hg.ladder_pass(plan1, model))
+        plan1 = {
+            **small_plan,
+            "o_region": tuple((c, a + tau, b + tau)
+                              for c, a, b in small_plan["o_region"]),
+            "v_region": tuple((t0 + tau, t1 + tau, x0, x1)
+                              for t0, t1, x0, x1 in small_plan["v_region"])}
+        t0 = inclusion(model, small_plan)
+        t1 = inclusion(model, plan1)
         for r0, r1 in zip(t0.rungs, t1.rungs):
-            assert r1.max_residual == pytest.approx(r0.max_residual,
-                                                    abs=1e-12)
+            assert r1[1] == pytest.approx(r0[1], abs=1e-12)
+
+
+def inclusion(model, plan):
+    """run_inclusion on the ladder pass of plan, the ladder_pass keywords."""
+    return hg.run_inclusion(model, plan["o_region"], plan["ladder"],
+                            *hg.ladder_pass(model, **plan))
+
+
+def weyl(model, plan, n_max):
+    """run_weyl_convergence on the ladder pass of plan."""
+    return hg.run_weyl_convergence(plan["ladder"],
+                                   *hg.ladder_pass(model, **plan), n_max=n_max)
 
 
 def elements(groups):
@@ -224,52 +227,47 @@ class TestSharedLadder:
 
     def test_inclusion_residuals_match_fresh_dictionaries(self, small_plan,
                                                           small_model):
-        table = hg.run_inclusion(small_plan, small_model,
-                                 *hg.ladder_pass(small_plan, small_model))
+        table = inclusion(small_model, small_plan)
         bulk = np.column_stack([
             am.embed_one_particle(am.one_particle_map(small_model, v))
-            for v in hg.bulk_generators(small_model, small_plan.v_region,
-                                        small_plan.n_bulk,
-                                        seed=small_plan.seed)])
-        for rung, size in zip(table.rungs, small_plan.ladder):
-            u = fresh_boundary_basis(small_model, small_plan.o_region, size)
+            for v in hg.bulk_generators(small_model, small_plan["v_region"],
+                                        small_plan["n_bulk"],
+                                        seed=small_plan["seed"])])
+        for rung, size in zip(table.rungs, small_plan["ladder"]):
+            u = fresh_boundary_basis(small_model, small_plan["o_region"], size)
             r = pc.relative_residuals(u, bulk)
-            assert rung.max_residual == float(r.max())
-            assert rung.mean_residual == float(r.mean())
-            assert rung.rank == u.shape[1]
+            assert rung == (size, float(r.max()), float(r.mean()), u.shape[1])
 
     def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
                                                      small_model):
-        rep = hg.run_weyl_convergence(small_plan,
-                                      *hg.ladder_pass(small_plan, small_model),
-                                      n_max=24)
-        target = hg.bulk_generators(small_model, small_plan.v_region,
-                                    small_plan.n_bulk,
-                                    seed=small_plan.seed)[0]
+        rows, _, _ = weyl(small_model, small_plan, 24)
+        target = hg.bulk_generators(small_model, small_plan["v_region"],
+                                    small_plan["n_bulk"],
+                                    seed=small_plan["seed"])[0]
         w = am.embed_one_particle(am.one_particle_map(small_model, target))
         w = (0.5 / np.linalg.norm(w)) * w
-        for dist, size in zip(rep.distances, small_plan.ladder):
-            u = fresh_boundary_basis(small_model, small_plan.o_region, size)
+        for (size, dist, *_), want in zip(rows, small_plan["ladder"]):
+            u = fresh_boundary_basis(small_model, small_plan["o_region"], size)
+            assert size == want
             assert dist == np.linalg.norm(u @ (u.T @ w) - w)
 
 
 class TestWeylConvergence:
     def test_report_structure_and_decay(self, small_plan, small_model):
-        rep = hg.run_weyl_convergence(small_plan,
-                                      *hg.ladder_pass(small_plan, small_model),
-                                      n_max=24)
-        assert len(rep.errors) == len(small_plan.ladder)
-        assert all(b <= a + 1e-3 for a, b in zip(rep.errors, rep.errors[1:]))
-        assert rep.errors[-1] < rep.errors[0]
-        assert all(cd <= d + 1e-12 for cd, d in
-                   zip(rep.compressed_distances, rep.distances))
+        rows, _, _ = weyl(small_model, small_plan, 24)
+        sizes, dists, comp_dists, errors, _ = zip(*rows)
+        assert sizes == small_plan["ladder"]
+        assert all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
+        assert errors[-1] < errors[0]
+        assert all(cd <= d + 1e-12 for cd, d in zip(comp_dists, dists))
 
     def test_fock_tails_shrink_with_cutoff(self, small_plan, small_model):
-        bases, w = hg.ladder_pass(small_plan, small_model)
-        tails = {n: hg.run_weyl_convergence(small_plan, bases, w,
-                                            n_max=n).fock_tails
+        bases, w = hg.ladder_pass(small_model, **small_plan)
+        tails = {n: [r[4] for r in hg.run_weyl_convergence(
+                     small_plan["ladder"], bases, w, n_max=n)[0]]
                  for n in (8, 24)}
-        assert all(len(t) == len(small_plan.ladder) for t in tails.values())
+        assert all(len(t) == len(small_plan["ladder"])
+                   for t in tails.values())
         assert 0.0 < max(tails[24]) < 1e-20 < min(tails[8])
 
     def test_plane_embedding_is_kw_embedding(self):
@@ -288,19 +286,19 @@ class TestWeylConvergence:
                 cf.kw_embedding(kd, np.concatenate([z.real, z.imag])))
 
     def test_fit_is_positive_slope(self, small_plan, small_model):
-        rep = hg.run_weyl_convergence(small_plan,
-                                      *hg.ladder_pass(small_plan, small_model),
-                                      n_max=24)
-        assert rep.lipschitz > 0.0
-        assert 0.0 <= rep.r_squared <= 1.0
+        _, lipschitz, r_squared = weyl(small_model, small_plan, 24)
+        assert lipschitz > 0.0
+        assert 0.0 <= r_squared <= 1.0
 
 
 class TestLadderValidation:
-    def test_rejects_nonincreasing_ladder(self, small_plan):
-        with pytest.raises(pc.ShapeError):
-            dataclasses.replace(small_plan, ladder=(10, 10, 20))
+    def test_rejects_nonincreasing_ladder(self, small_plan, small_model):
+        with pytest.raises(pc.ShapeError, match="strictly increasing"):
+            hg.boundary_ladder(small_model, small_plan["o_region"],
+                               (10, 10, 20))
 
     @pytest.mark.parametrize("ladder", [(-3, 5), (0, 5)], ids=["-3,5", "0,5"])
-    def test_rejects_nonpositive_entries(self, small_plan, ladder):
+    def test_rejects_nonpositive_entries(self, small_plan, small_model,
+                                         ladder):
         with pytest.raises(pc.ShapeError, match="ladder entries"):
-            dataclasses.replace(small_plan, ladder=ladder)
+            hg.boundary_ladder(small_model, small_plan["o_region"], ladder)
