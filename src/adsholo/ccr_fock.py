@@ -2,9 +2,10 @@
 
 The one-particle space is C^m; the Fock space is truncated at total
 occupation n_max, so CCR identities hold exactly only below the cutoff.
-Ladder and field operators are sparse CSR matrices.  Weyl operators
-exp(i phi(h)) are never formed: weyl_apply applies one to vectors by its
-action (Al-Mohy & Higham 2011), and every Weyl identity is checked on the
+Field operators are sparse CSR matrices assembled from the ladder pattern
+each representation computes once.  Weyl operators exp(i phi(h)) are never
+formed: weyl_apply applies one to vectors by its Chebyshev-Bessel series
+(Tal-Ezer & Kosloff 1984), and every Weyl identity is checked on the
 vectors it produces.
 """
 
@@ -13,12 +14,12 @@ from itertools import combinations
 
 import numpy as np
 from scipy import sparse, special
-from scipy.sparse.linalg import expm_multiply
 
 from .phase_core import ShapeError
 
 WEYL_NORM_CAP = 2.0     # coherent displacement the default cutoff can support
 EXP_TOLERANCE = 1e-10
+SERIES_CUT = 1e-17      # Bessel coefficients below this end the Weyl series
 
 
 class CutoffUnreliableError(ShapeError):
@@ -27,12 +28,17 @@ class CutoffUnreliableError(ShapeError):
 
 @dataclass(frozen=True)
 class FockRep:
-    """Occupation-number basis, total occupation <= n_max, lexicographic."""
+    """Occupation-number basis, total occupation <= n_max, lexicographic.
+
+    ladder is (row, col, mode, sqrt(n)) over every nonzero of the mode
+    annihilators: a_mode has sqrt(n_mode) at (index of n - e_mode, index of n).
+    """
 
     one_particle_dim: int
     n_max: int
     basis: tuple
     index: dict = field(repr=False)
+    ladder: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self):
@@ -48,9 +54,17 @@ def fock_rep(m, n_max):
         raise ShapeError("need one_particle_dim >= 1 and n_max >= 1")
     # stars and bars: bars c_0 < ... < c_{m-1} give n_j = c_j - c_{j-1} - 1
     bars = np.array(list(combinations(range(n_max + m), m)))
-    basis = tuple(map(tuple, (np.diff(bars, axis=1, prepend=-1) - 1).tolist()))
+    occ = np.diff(bars, axis=1, prepend=-1) - 1
+    basis = tuple(map(tuple, occ.tolist()))
     index = {n: i for i, n in enumerate(basis)}
-    return FockRep(m, n_max, basis, index)
+    col, mode = np.nonzero(occ > 0)
+    low = occ[col] - np.eye(m, dtype=occ.dtype)[mode]
+    # basis index of low: over j, the rows equal to low before j, smaller at j
+    k, room = m - np.arange(m), n_max - np.cumsum(low, axis=1) + low
+    row = np.rint((special.comb(k + room, k)
+                   - special.comb(k + room - low, k)).sum(axis=1))
+    ladder = (row.astype(np.int64), col, mode, np.sqrt(occ[col, mode]))
+    return FockRep(m, n_max, basis, index, ladder)
 
 
 def _check_vector(rep, h, norm_cap=np.inf):
@@ -67,35 +81,58 @@ def _check_vector(rep, h, norm_cap=np.inf):
     return h
 
 
-def annihilation(rep, h):
-    """a(h) = sum_i conj(h_i) a_i, sparse: sqrt(n_i) conj(h_i) at (n - e_i, n)."""
-    h = _check_vector(rep, h)
-    m = rep.one_particle_dim
-    occ = np.array(rep.basis)
-    col, mode = np.nonzero((occ > 0) & (h != 0))
-    low = occ[col] - np.eye(m, dtype=occ.dtype)[mode]
-    # basis index of low: over j, the rows equal to low before j, smaller at j
-    k, room = m - np.arange(m), rep.n_max - np.cumsum(low, axis=1) + low
-    row = np.rint((special.comb(k + room, k)
-                   - special.comb(k + room - low, k)).sum(axis=1))
-    data = np.sqrt(occ[col, mode]) * np.conj(h[mode])
-    return sparse.csr_matrix(
-        (data, (row.astype(np.int64), col)), shape=(rep.dim, rep.dim))
-
-
 def segal_field(rep, h):
-    """phi(h) = (a*(h) + a(h)) / sqrt(2), self-adjoint on the truncation."""
-    a = annihilation(rep, h)
-    return (a + a.conj().T) / np.sqrt(2.0)
+    """phi(h) = (a*(h) + a(h)) / sqrt(2), self-adjoint on the truncation.
+
+    a(h) = sum_i conj(h_i) a_i puts sqrt(n_i) conj(h_i) at each ladder
+    position; a*(h) puts the conjugates at the transposed positions.
+    """
+    row, col, mode, sqrt_n = rep.ladder
+    data = sqrt_n * np.conj(_check_vector(rep, h)[mode]) / np.sqrt(2.0)
+    return sparse.csr_matrix(
+        (np.concatenate([data, data.conj()]),
+         (np.concatenate([row, col]), np.concatenate([col, row]))),
+        shape=(rep.dim, rep.dim))
+
+
+def _series_coefficients(a):
+    """J_0(a), then 2 i^k J_k(a) up to the last k with |J_k(a)| >= SERIES_CUT.
+
+    Past k = a, |J_k(a)| decreases in k.  The search window k < a +
+    12 a^(1/3) + 20 spans twelve widths of its Airy transition; for a up to
+    3000 the cut falls at least 15 terms inside it."""
+    j = special.jv(np.arange(int(a + 12.0 * np.cbrt(a)) + 20), a)
+    n = max(2, int(np.flatnonzero(np.abs(j) >= SERIES_CUT)[-1]) + 1)
+    c = 2.0 * j[:n] * np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+    c[0] = j[0]
+    return c
 
 
 def weyl_apply(rep, h, psis):
-    """exp(i phi(h)) applied to a vector or a (dim, k) block of vectors."""
+    """exp(i phi(h)) applied to a vector or a (dim, k) block of vectors.
+
+    With a >= ||phi|| and x = phi / a, the Jacobi-Anger expansion
+    e^{i a x} = J_0(a) + 2 sum_k i^k J_k(a) T_k(x) is summed by the
+    Chebyshev recurrence T_{k+1} = 2 x T_k - T_{k-1} on the whole block
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    """
     psis = np.asarray(psis, dtype=complex)
     if psis.shape[:1] != (rep.dim,) or psis.ndim > 2:
         raise ShapeError("Fock vectors must match the representation dim")
     phi = segal_field(rep, _check_vector(rep, h, WEYL_NORM_CAP))
-    return expm_multiply(1j * phi, psis)
+    # the 1-norm, the largest column sum of |phi|, bounds the spectral
+    # radius of a Hermitian matrix
+    a = float(np.bincount(phi.indices, np.abs(phi.data)).max())
+    if a == 0.0:
+        return psis.copy()
+    c = _series_coefficients(a)
+    x2 = phi * (2.0 / a)                # 2x, so that T_{k+1} = x2 T_k - T_{k-1}
+    t_prev, t = psis, 0.5 * (x2 @ psis)
+    out = c[0] * t_prev + c[1] * t
+    for ck in c[2:]:
+        t_prev, t = t, x2 @ t - t_prev
+        out += ck * t
+    return out
 
 
 def kw_one_particle_dim(kd):

@@ -540,7 +540,7 @@ def run(command, cfg, out_dir="."):
     """Run one named experiment, or every one on one memo for check-all;
     returns the largest exit code."""
     if command != "check-all" and command not in _DISPATCH:
-        print(f"unknown command {command!r}", file=sys.stderr)
+        print(f"error: unknown command {command!r}", file=sys.stderr)
         return 2
     try:
         os.makedirs(out_dir, exist_ok=True)

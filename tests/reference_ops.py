@@ -4,8 +4,17 @@ computes another way."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from adsholo import ads_model as am
+
+
+def annihilation(rep, h):
+    """a(h) = sum_i conj(h_i) a_i as a sparse matrix on the ladder pattern of
+    rep: the lowering half of ccr_fock.segal_field on its own."""
+    row, col, mode, sqrt_n = rep.ladder
+    data = sqrt_n * np.conj(np.asarray(h, dtype=complex)[mode])
+    return sparse.csr_matrix((data, (row, col)), shape=(rep.dim, rep.dim))
 
 
 def bulk_from_samples(t_grid, values, support_x):

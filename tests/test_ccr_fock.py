@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import reference_ops as ro
 from adsholo import ccr_fock as cf
 from adsholo import phase_core as pc
 
@@ -63,13 +64,13 @@ class TestLadderOperators:
         h[0] = 0.0          # a mode with zero weight contributes no entries
         for g in (h, np.eye(m)[-1]):
             ref = dense_annihilation(rep, g)
-            assert np.array_equal(cf.annihilation(rep, g).toarray(), ref)
+            assert np.array_equal(ro.annihilation(rep, g).toarray(), ref)
             phi = cf.segal_field(rep, g).toarray()
             assert np.array_equal(phi, (ref + ref.conj().T) / np.sqrt(2.0))
 
     def test_one_mode_ladder_action(self):
         rep = cf.fock_rep(1, 5)
-        a = cf.annihilation(rep, [1.0])
+        a = ro.annihilation(rep, [1.0])
         for n in range(1, 6):
             col = rep.index[(n,)]
             row = rep.index[(n - 1,)]
@@ -78,7 +79,7 @@ class TestLadderOperators:
 
     def test_ccr_below_cutoff_and_cutoff_artifact(self):
         rep = cf.fock_rep(1, 3)
-        a = cf.annihilation(rep, [1.0])
+        a = ro.annihilation(rep, [1.0])
         comm = a @ a.conj().T - a.conj().T @ a
         for n in range(3):
             i = rep.index[(n,)]
@@ -89,7 +90,7 @@ class TestLadderOperators:
     def test_two_mode_commutator_norm(self):
         rep = cf.fock_rep(2, 6)
         h = np.array([1.0, 1j])
-        a = cf.annihilation(rep, h).toarray()
+        a = ro.annihilation(rep, h).toarray()
         comm = a @ a.conj().T - a.conj().T @ a
         cols = low_occupation_columns(rep, 5)
         for j in cols:
@@ -100,7 +101,7 @@ class TestLadderOperators:
     def test_number_operator_vacuum(self):
         rep = cf.fock_rep(2, 4)
         h = np.array([0.3, -0.4j])
-        a = cf.annihilation(rep, h)
+        a = ro.annihilation(rep, h)
         num = (a.conj().T @ a).toarray()
         assert np.linalg.eigvalsh(num).min() > -1e-12
         i0 = rep.vacuum_index
@@ -113,9 +114,12 @@ class TestSegalField:
         assert np.abs(cf.segal_field(rep, [0.0])).max() == 0.0
 
     def test_self_adjoint(self):
-        rep = cf.fock_rep(2, 5)
-        f = cf.segal_field(rep, [0.4 + 0.2j, -1.0j])
-        assert np.abs(f - f.conj().T).max() < 1e-14
+        # the transposed half carries the exact conjugates
+        rng = np.random.default_rng(0)
+        for m, n_max in [(1, 40), (2, 5), (3, 8)]:
+            f = cf.segal_field(cf.fock_rep(m, n_max), rng.standard_normal(m)
+                               + 1j * rng.standard_normal(m))
+            assert f.nnz and (f != f.conj().T).nnz == 0
 
     def test_commutator_identity(self):
         rep = cf.fock_rep(1, 8)
@@ -200,20 +204,51 @@ def random_block(rng, dim, k):
     return psi / np.linalg.norm(psi, axis=0)
 
 
+def displacement(rng, m, radius):
+    """A random h in C^m with ||h|| = radius, less 1e-12 relative so that
+    the rounding of the norm cannot push h at the cap over it."""
+    h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return h * (radius * (1.0 - 1e-12) / np.linalg.norm(h))
+
+
+def dense_weyl_gap(rep, seed):
+    """Largest entry of weyl_apply minus the dense exponential, on random
+    blocks and single vectors, for ||h|| from 0.03 to WEYL_NORM_CAP."""
+    rng = np.random.default_rng(seed)
+    gap = 0.0
+    for radius in (0.03, 0.3, 1.0, cf.WEYL_NORM_CAP):
+        h = displacement(rng, rep.one_particle_dim, radius)
+        psis = random_block(rng, rep.dim, 3)
+        want = dense_weyl(rep, h) @ psis
+        gap = max(gap, np.abs(cf.weyl_apply(rep, h, psis) - want).max(),
+                  np.abs(cf.weyl_apply(rep, h, psis[:, 0]) - want[:, 0]).max())
+    return gap
+
+
 class TestWeylApply:
-    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 40), (2, 16), (3, 8)])
     def test_matches_dense_weyl_operator(self, m, n_max):
+        assert dense_weyl_gap(cf.fock_rep(m, n_max), 10 + m) <= 1e-13
+
+    def test_series_three_terms_short_misses(self, monkeypatch):
+        # the Bessel tail the series keeps is visible at the 1e-13 agreement
+        series = cf._series_coefficients
+        monkeypatch.setattr(cf, "_series_coefficients",
+                            lambda a: series(a)[:-3])
+        assert dense_weyl_gap(cf.fock_rep(1, 40), 11) > 1e-13
+
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 16), (3, 8)])
+    def test_series_bound_covers_spectrum(self, monkeypatch, m, n_max):
         rep = cf.fock_rep(m, n_max)
-        rng = np.random.default_rng(10 + m)
-        for radius in (0.3, 1.0, 2.0):
-            h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            h *= radius / np.linalg.norm(h)
-            psis = random_block(rng, rep.dim, 3)
-            got = cf.weyl_apply(rep, h, psis)
-            want = dense_weyl(rep, h) @ psis
-            assert np.abs(got - want).max() <= 1e-13
-            assert np.abs(cf.weyl_apply(rep, h, psis[:, 0])
-                          - want[:, 0]).max() <= 1e-13
+        rng = np.random.default_rng(m)
+        h = displacement(rng, m, cf.WEYL_NORM_CAP)
+        bounds = []
+        series = cf._series_coefficients
+        monkeypatch.setattr(cf, "_series_coefficients",
+                            lambda a: bounds.append(a) or series(a))
+        cf.weyl_apply(rep, h, np.zeros(rep.dim))
+        spectrum = np.linalg.eigvalsh(cf.segal_field(rep, h).toarray())
+        assert bounds and bounds[0] >= np.abs(spectrum).max()
 
     @pytest.mark.parametrize("h", [0.5, -1.2j, 1.0 + 0.7j, 2.0, -1.2 - 1.6j])
     def test_vacuum_is_coherent_state(self, h):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adsholo
+import reference_ops as ro
 from adsholo import ads_model as am
 from adsholo import ccr_fock as cf
 from adsholo import cli
@@ -391,7 +392,8 @@ class TestImportCost:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         code = ("import sys, adsholo.cli; print(sorted(m for m in "
-                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                "('scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -400,6 +402,8 @@ class TestImportCost:
 class TestRunDispatch:
     def test_unknown_command_exit_2(self, capsys):
         assert cli.run("bogus", cli.RunConfig()) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown command 'bogus'"]
 
     def test_model_error_exit_2(self, tmp_path, capsys):
         # perturbation touching the boundary is rejected while running,
@@ -546,7 +550,7 @@ def scaled(fn):
 def creation_scaled(segal_field):
     """A field (a + 1.01 a*) / sqrt(2) that is not self-adjoint."""
     return lambda rep, h: segal_field(rep, h) + (
-        0.01 / np.sqrt(2.0)) * cf.annihilation(rep, h).conj().T
+        0.01 / np.sqrt(2.0)) * ro.annihilation(rep, h).conj().T
 
 
 def displaced(weyl_apply):
