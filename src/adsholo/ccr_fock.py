@@ -2,11 +2,13 @@
 
 The one-particle space is C^m; the Fock space is truncated at total
 occupation n_max, so CCR identities hold exactly only below the cutoff.
-Field operators are sparse CSR matrices assembled from the ladder pattern
-each representation computes once.  Weyl operators exp(i phi(h)) are never
-formed: weyl_apply applies one to vectors by its Chebyshev-Bessel series
-(Tal-Ezer & Kosloff 1984), and every Weyl identity is checked on the
-vectors it produces.
+Each representation computes its ladder pattern, and the CSR layout of the
+Hermitian field pattern, once; a field operator only fills in the data.
+Weyl operators exp(i phi(h)) are never formed: weyl_apply applies one to
+vectors by its Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984), and every
+Weyl identity is checked on the vectors it produces.  A batch of b
+displacements is one Weyl operator on the direct sum of b copies of the
+Fock space, the same series on a block-diagonal field.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +34,10 @@ class FockRep:
 
     ladder is (row, col, mode, sqrt(n)) over every nonzero of the mode
     annihilators: a_mode has sqrt(n_mode) at (index of n - e_mode, index of n).
+    pattern is (indptr, indices, order), the CSR layout of the field
+    pattern, the ladder positions followed by their transposes: entry p of
+    the CSR data is entry order[p] of that list, rows ascending and columns
+    sorted within each row.
     """
 
     one_particle_dim: int
@@ -39,6 +45,7 @@ class FockRep:
     basis: tuple
     index: dict = field(repr=False)
     ladder: tuple = field(repr=False, compare=False)
+    pattern: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self):
@@ -61,20 +68,29 @@ def fock_rep(m, n_max):
     low = occ[col] - np.eye(m, dtype=occ.dtype)[mode]
     # basis index of low: over j, the rows equal to low before j, smaller at j
     k, room = m - np.arange(m), n_max - np.cumsum(low, axis=1) + low
-    row = np.rint((special.comb(k + room, k)
-                   - special.comb(k + room - low, k)).sum(axis=1))
-    ladder = (row.astype(np.int64), col, mode, np.sqrt(occ[col, mode]))
-    return FockRep(m, n_max, basis, index, ladder)
+    row = np.rint((special.comb(k + room, k) - special.comb(
+        k + room - low, k)).sum(axis=1)).astype(np.int64)
+    ladder = (row, col, mode, np.sqrt(occ[col, mode]))
+    # no position repeats, so row-major order with sorted columns is the
+    # order a COO to CSR conversion of the pattern produces
+    rows, cols = np.concatenate([row, col]), np.concatenate([col, row])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows,
+                                                        minlength=len(occ)))])
+    return FockRep(m, n_max, basis, index, ladder, (indptr, cols[order], order))
 
 
-def _check_vector(rep, h, norm_cap=np.inf):
+def _check_vectors(rep, h, norm_cap=np.inf):
+    """h as a complex vector of length m, or a (b, m) batch of them."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (rep.one_particle_dim,):
+    m = rep.one_particle_dim
+    if h.ndim not in (1, 2) or h.shape[-1] != m or h.size == 0:
         raise ShapeError(
-            f"expected a vector of length {rep.one_particle_dim}, got {h.shape}")
+            f"expected a vector of length {m} or a batch of them, "
+            f"got {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ShapeError("vector has non-finite entries")
-    nrm = float(np.linalg.norm(h))
+    nrm = float(np.linalg.norm(h, axis=-1).max())
     if nrm > norm_cap:
         raise CutoffUnreliableError(
             f"||h|| = {nrm:.3f} exceeds the displacement cap {norm_cap}")
@@ -83,16 +99,23 @@ def _check_vector(rep, h, norm_cap=np.inf):
 
 def segal_field(rep, h):
     """phi(h) = (a*(h) + a(h)) / sqrt(2), self-adjoint on the truncation.
+    For a (b, m) batch h, the block-diagonal direct sum of phi(h_1), ...,
+    phi(h_b) on b copies of the Fock space.
 
     a(h) = sum_i conj(h_i) a_i puts sqrt(n_i) conj(h_i) at each ladder
-    position; a*(h) puts the conjugates at the transposed positions.
+    position; a*(h) puts the conjugates at the transposed positions.  Only
+    the data is computed here; the layout is rep.pattern, offset per block.
     """
-    row, col, mode, sqrt_n = rep.ladder
-    data = sqrt_n * np.conj(_check_vector(rep, h)[mode]) / np.sqrt(2.0)
+    _, _, mode, sqrt_n = rep.ladder
+    indptr, indices, order = rep.pattern
+    hs = _check_vectors(rep, h).reshape(-1, rep.one_particle_dim)
+    low = sqrt_n * np.conj(hs[:, mode]) / np.sqrt(2.0)
+    block = np.arange(len(hs))[:, None]
     return sparse.csr_matrix(
-        (np.concatenate([data, data.conj()]),
-         (np.concatenate([row, col]), np.concatenate([col, row]))),
-        shape=(rep.dim, rep.dim))
+        (np.concatenate([low, low.conj()], axis=1)[:, order].ravel(),
+         (indices + rep.dim * block).ravel(),
+         np.concatenate([[0], (indptr[1:] + len(order) * block).ravel()])),
+        shape=(len(hs) * rep.dim,) * 2)
 
 
 def _series_coefficients(a):
@@ -111,28 +134,44 @@ def _series_coefficients(a):
 def weyl_apply(rep, h, psis):
     """exp(i phi(h)) applied to a vector or a (dim, k) block of vectors.
 
+    For a (b, m) batch h, the b operators exp(i phi(h_j)) on a leading axis
+    of length b: each on the same vector or block when psis.ndim <= 2, or
+    each on its own block when psis has shape (b, dim, k).  Which one is
+    read from psis.ndim alone, since dim may equal b.
+
     With a >= ||phi|| and x = phi / a, the Jacobi-Anger expansion
     e^{i a x} = J_0(a) + 2 sum_k i^k J_k(a) T_k(x) is summed by the
     Chebyshev recurrence T_{k+1} = 2 x T_k - T_{k-1} on the whole block
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).  A batch is one
+    Weyl operator on the direct sum of b Fock spaces, so one series, with a
+    at least the largest ||phi(h_j)||, serves every block.
     """
+    h = _check_vectors(rep, h, WEYL_NORM_CAP)
+    b = len(h) if h.ndim == 2 else 1
     psis = np.asarray(psis, dtype=complex)
-    if psis.shape[:1] != (rep.dim,) or psis.ndim > 2:
-        raise ShapeError("Fock vectors must match the representation dim")
-    phi = segal_field(rep, _check_vector(rep, h, WEYL_NORM_CAP))
+    if not (psis.ndim == 3 and h.ndim == 2):    # shared by every h
+        psis = np.broadcast_to(psis, (b,) + psis.shape)
+    if psis.shape[:2] != (b, rep.dim) or psis.ndim > 3:
+        raise ShapeError("Fock vectors must match the representation dim, "
+                         "and a block per h the number of h")
+    x = psis.reshape((b * rep.dim,) + psis.shape[2:])
+    phi = segal_field(rep, h)
     # the 1-norm, the largest column sum of |phi|, bounds the spectral
-    # radius of a Hermitian matrix
+    # radius of a Hermitian matrix; on the direct sum it is the largest
+    # over the blocks
     a = float(np.bincount(phi.indices, np.abs(phi.data)).max())
     if a == 0.0:
-        return psis.copy()
-    c = _series_coefficients(a)
-    x2 = phi * (2.0 / a)                # 2x, so that T_{k+1} = x2 T_k - T_{k-1}
-    t_prev, t = psis, 0.5 * (x2 @ psis)
-    out = c[0] * t_prev + c[1] * t
-    for ck in c[2:]:
-        t_prev, t = t, x2 @ t - t_prev
-        out += ck * t
-    return out
+        out = x.copy()
+    else:
+        c = _series_coefficients(a)
+        x2 = phi * (2.0 / a)            # 2x, so that T_{k+1} = x2 T_k - T_{k-1}
+        t_prev, t = x, 0.5 * (x2 @ x)
+        out = c[0] * t_prev + c[1] * t
+        for ck in c[2:]:
+            t_prev, t = t, x2 @ t - t_prev
+            out += ck * t
+    out = out.reshape(psis.shape)
+    return out if h.ndim == 2 else out[0]
 
 
 def kw_one_particle_dim(kd):
@@ -188,7 +227,6 @@ def strong_convergence_test(rep, h_seq, h_lim, psi_set):
     and of the weight W(h_n) psi puts on the top occupation shell n_max."""
     psis = np.stack([np.asarray(p, dtype=complex) for p in psi_set], axis=1)
     top = np.array(rep.basis).sum(axis=1) == rep.n_max
-    w_lim = weyl_apply(rep, h_lim, psis)
-    w_seq = [weyl_apply(rep, h, psis) for h in h_seq]
+    w_lim, *w_seq = weyl_apply(rep, [h_lim, *h_seq], psis)
     return ([float(np.linalg.norm(w - w_lim, axis=0).max()) for w in w_seq],
             [float((np.abs(w[top]) ** 2).sum(axis=0).max()) for w in w_seq])

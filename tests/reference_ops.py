@@ -11,10 +11,28 @@ from adsholo import ads_model as am
 
 def annihilation(rep, h):
     """a(h) = sum_i conj(h_i) a_i as a sparse matrix on the ladder pattern of
-    rep: the lowering half of ccr_fock.segal_field on its own."""
+    rep: the lowering half of ccr_fock.segal_field on its own.  For a (b, m)
+    batch h, the block-diagonal direct sum of a(h_1), ..., a(h_b), laid out
+    as ccr_fock.segal_field lays out a batch."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim == 2:
+        return sparse.block_diag([annihilation(rep, g) for g in h],
+                                 format="csr")
     row, col, mode, sqrt_n = rep.ladder
-    data = sqrt_n * np.conj(np.asarray(h, dtype=complex)[mode])
+    data = sqrt_n * np.conj(h[mode])
     return sparse.csr_matrix((data, (row, col)), shape=(rep.dim, rep.dim))
+
+
+def coo_segal_field(rep, h):
+    """phi(h) for one h by a COO to CSR conversion of the ladder positions
+    and their transposes: the per-call sort that ccr_fock.segal_field
+    replaced with a layout each representation computes once."""
+    row, col, mode, sqrt_n = rep.ladder
+    data = sqrt_n * np.conj(np.asarray(h, dtype=complex)[mode]) / np.sqrt(2.0)
+    return sparse.csr_matrix(
+        (np.concatenate([data, data.conj()]),
+         (np.concatenate([row, col]), np.concatenate([col, row]))),
+        shape=(rep.dim, rep.dim))
 
 
 def bulk_from_samples(t_grid, values, support_x):

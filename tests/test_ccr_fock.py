@@ -3,7 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 import reference_ops as ro
 from adsholo import ccr_fock as cf
@@ -145,6 +145,25 @@ class TestSegalField:
         rhs = 1.7 * cf.segal_field(rep, h1) + cf.segal_field(rep, h2)
         assert np.abs(lhs - rhs).max() < 1e-12
 
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 40), (3, 12), (2, 16),
+                                          (6, 2)])
+    def test_layout_matches_coo_constructor(self, m, n_max):
+        # one h fills the stored layout with the very arrays that a COO to
+        # CSR conversion of the ladder pattern gives
+        rep = cf.fock_rep(m, n_max)
+        rng = np.random.default_rng(m + n_max)
+        h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        got, want = cf.segal_field(rep, h), ro.coo_segal_field(rep, h)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_batch_is_direct_sum(self):
+        rep = cf.fock_rep(2, 5)
+        rng = np.random.default_rng(3)
+        hs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        want = block_diag(*[cf.segal_field(rep, h).toarray() for h in hs])
+        assert np.array_equal(cf.segal_field(rep, hs).toarray(), want)
+
 
 def weyl_relation_residual(rep, h1, h2, phase):
     """Largest entry of (W(h1) W(h2) - phase W(h1 + h2)) on occupations <= 10."""
@@ -211,45 +230,96 @@ def displacement(rng, m, radius):
     return h * (radius * (1.0 - 1e-12) / np.linalg.norm(h))
 
 
-def dense_weyl_gap(rep, seed):
-    """Largest entry of weyl_apply minus the dense exponential, on random
-    blocks and single vectors, for ||h|| from 0.03 to WEYL_NORM_CAP."""
+def dense_weyl_gaps(rep, seed):
+    """Largest entry of weyl_apply minus the dense exponential, for ||h||
+    from 0.03 to WEYL_NORM_CAP: one h per call on a random block and on a
+    single vector, then the four h in one call, on one shared block and on
+    a block each."""
     rng = np.random.default_rng(seed)
-    gap = 0.0
+    single, hs, blocks, weyls = 0.0, [], [], []
     for radius in (0.03, 0.3, 1.0, cf.WEYL_NORM_CAP):
         h = displacement(rng, rep.one_particle_dim, radius)
         psis = random_block(rng, rep.dim, 3)
-        want = dense_weyl(rep, h) @ psis
-        gap = max(gap, np.abs(cf.weyl_apply(rep, h, psis) - want).max(),
-                  np.abs(cf.weyl_apply(rep, h, psis[:, 0]) - want[:, 0]).max())
-    return gap
+        w = dense_weyl(rep, h)
+        want = w @ psis
+        single = max(single,
+                     np.abs(cf.weyl_apply(rep, h, psis) - want).max(),
+                     np.abs(cf.weyl_apply(rep, h, psis[:, 0])
+                            - want[:, 0]).max())
+        hs.append(h)
+        blocks.append(psis)
+        weyls.append(w)
+    shared = random_block(rng, rep.dim, 3)
+    return {
+        "single": single,
+        "shared batch": np.abs(cf.weyl_apply(rep, hs, shared) - np.array(
+            [w @ shared for w in weyls])).max(),
+        "per-h batch": np.abs(cf.weyl_apply(rep, hs, np.array(blocks))
+                              - np.array([w @ p for w, p in zip(weyls, blocks)])
+                              ).max()}
 
 
 class TestWeylApply:
     @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 40), (2, 16), (3, 8)])
     def test_matches_dense_weyl_operator(self, m, n_max):
-        assert dense_weyl_gap(cf.fock_rep(m, n_max), 10 + m) <= 1e-13
+        gaps = dense_weyl_gaps(cf.fock_rep(m, n_max), 10 + m)
+        assert max(gaps.values()) <= 1e-13, gaps
 
     def test_series_three_terms_short_misses(self, monkeypatch):
         # the Bessel tail the series keeps is visible at the 1e-13 agreement
+        # on the short series of the smallest displacement; a batch runs the
+        # longer series of its largest block, whose last three terms add
+        # less than 1e-15
         series = cf._series_coefficients
         monkeypatch.setattr(cf, "_series_coefficients",
                             lambda a: series(a)[:-3])
-        assert dense_weyl_gap(cf.fock_rep(1, 40), 11) > 1e-13
+        gaps = dense_weyl_gaps(cf.fock_rep(1, 40), 11)
+        assert gaps["single"] > 1e-13, gaps
+
+    def test_crossed_blocks_miss(self, monkeypatch):
+        # block j given exp(i phi(h_(j-1))) is visible in both batches
+        weyl_apply = cf.weyl_apply
+        monkeypatch.setattr(cf, "weyl_apply", lambda rep, h, psis: weyl_apply(
+            rep, np.roll(h, 1, axis=0), psis))
+        gaps = dense_weyl_gaps(cf.fock_rep(1, 40), 11)
+        assert min(gaps["shared batch"], gaps["per-h batch"]) > 1e-2, gaps
 
     @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 16), (3, 8)])
     def test_series_bound_covers_spectrum(self, monkeypatch, m, n_max):
+        # one h, then a batch whose largest block is not its first
         rep = cf.fock_rep(m, n_max)
         rng = np.random.default_rng(m)
-        h = displacement(rng, m, cf.WEYL_NORM_CAP)
+        hs = [displacement(rng, m, r) for r in (cf.WEYL_NORM_CAP, 0.4, 1.3)]
         bounds = []
         series = cf._series_coefficients
         monkeypatch.setattr(cf, "_series_coefficients",
                             lambda a: bounds.append(a) or series(a))
-        cf.weyl_apply(rep, h, np.zeros(rep.dim))
-        spectrum = np.linalg.eigvalsh(cf.segal_field(rep, h).toarray())
-        assert bounds and bounds[0] >= np.abs(spectrum).max()
+        cf.weyl_apply(rep, hs[0], np.zeros(rep.dim))
+        cf.weyl_apply(rep, hs[1:] + hs[:1], np.zeros(rep.dim))
+        radius = [np.abs(np.linalg.eigvalsh(
+            cf.segal_field(rep, h).toarray())).max() for h in hs]
+        assert len(bounds) == 2
+        assert bounds[0] >= radius[0] and bounds[1] >= max(radius)
 
+    def test_zero_block_returns_its_input(self):
+        rep = cf.fock_rep(2, 16)
+        rng = np.random.default_rng(4)
+        hs = [displacement(rng, 2, 1.5), np.zeros(2)]
+        psis = np.array([random_block(rng, rep.dim, 3) for _ in hs])
+        assert np.abs(cf.weyl_apply(rep, hs, psis)[1] - psis[1]).max() <= 1e-14
+
+    def test_shared_block_when_dim_equals_batch_size(self):
+        # fock_rep(1, 2) has dim 3: three h and a (3, k) block or a (3,)
+        # vector still share psis, which is read from ndim, not from shape
+        rep = cf.fock_rep(1, 2)
+        rng = np.random.default_rng(5)
+        hs = [displacement(rng, 1, r) for r in (0.2, 0.9, 1.6)]
+        psis = random_block(rng, rep.dim, 2)
+        for p in (psis, psis[:, 0]):
+            got = cf.weyl_apply(rep, hs, p)
+            assert got.shape == (3,) + p.shape
+            assert max(np.abs(g - dense_weyl(rep, h) @ p).max()
+                       for g, h in zip(got, hs)) <= 1e-13
     @pytest.mark.parametrize("h", [0.5, -1.2j, 1.0 + 0.7j, 2.0, -1.2 - 1.6j])
     def test_vacuum_is_coherent_state(self, h):
         # W(h)|0> = exp(-|h|^2/4) sum_n alpha^n / sqrt(n!) |n>, alpha = i h/sqrt2
@@ -273,6 +343,19 @@ class TestWeylApply:
             cf.weyl_apply(rep, [0.5], psi)
         with pytest.raises(pc.ShapeError):
             cf.weyl_apply(rep, [0.5, 0.0], psi[1:])
+
+    def test_rejects_bad_batch(self):
+        rep = cf.fock_rep(2, 6)
+        hs = [[0.5, 0.1j], [0.2, 0.0], [0.0, -0.3]]
+        blocks = np.zeros((3, rep.dim, 2))
+        with pytest.raises(cf.CutoffUnreliableError):
+            cf.weyl_apply(rep, hs + [[2.0, 0.5]], blocks[0])
+        with pytest.raises(pc.ShapeError):
+            cf.weyl_apply(rep, hs, blocks[:2])      # a block per h, short
+        with pytest.raises(pc.ShapeError):
+            cf.weyl_apply(rep, hs[0], blocks)       # one h, a block per h
+        with pytest.raises(pc.ShapeError):
+            cf.weyl_apply(rep, np.zeros((0, 2)), blocks[0])
 
 
 class TestKwField:

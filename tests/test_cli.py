@@ -558,6 +558,24 @@ def displaced(weyl_apply):
     return lambda rep, h, psis: weyl_apply(rep, 1.01 * np.asarray(h), psis)
 
 
+def rolled(weyl_apply):
+    """A batch of Weyl operators with its h rolled by one against its psis:
+    block j gets exp(i phi(h_(j-1)))."""
+    return lambda rep, h, psis: weyl_apply(rep, np.roll(h, 1, axis=0), psis)
+
+
+def massless(build_model):
+    """The model with its mass term dropped."""
+    return lambda *args, **kwargs: dataclasses.replace(
+        build_model(*args, **kwargs), mass=0.0)
+
+
+def advanced(propagator_apply):
+    """The advanced solution in place of the retarded one."""
+    return lambda model, v, which, **kwargs: propagator_apply(
+        model, v, "advanced", **kwargs)
+
+
 def doubled_dim_off_by_2(kahler_from_covariance):
     def kahler(ps):
         kd = kahler_from_covariance(ps)
@@ -565,10 +583,17 @@ def doubled_dim_off_by_2(kahler_from_covariance):
     return kahler
 
 
+def failed_line(tmp_path, command, check):
+    """(value, bound) of the report line of check, which must end in FAIL."""
+    line, = [l for l in (tmp_path / f"{command.replace('-', '_')}_report.txt")
+             .read_text().splitlines() if l.startswith(f"{check} [")]
+    return re.fullmatch(r".*\]: (\S+) \(bound (\S+)\) FAIL", line).groups()
+
+
 class TestVerifyChecksFail:
-    """One injected fault per ccr-verify and kw-verify check fails it: its
-    report line ends in FAIL, run exits 1, and its CSV row carries the
-    value of the line."""
+    """One injected fault per ccr-verify, kw-verify and propagator check
+    fails it: its report line ends in FAIL and run exits 1.  The verify
+    commands' CSV rows also carry the value of the line."""
 
     @pytest.mark.parametrize("command,check,module,name,fault", [
         pytest.param(command, check, *fault, id=check)
@@ -586,16 +611,26 @@ class TestVerifyChecksFail:
             ("kw-verify", "mixed_commutator_residual",
              (cf, "kw_field", scaled)),
             ("kw-verify", "mixed_quasifree_error",
-             (cf, "weyl_apply", displaced))]])
+             (cf, "weyl_apply", displaced))]] + [
+        pytest.param("ccr-verify", "weyl_relation_residual", cf, "weyl_apply",
+                     fault, id=f"weyl_relation_residual-{fault.__name__}")
+        for fault in (displaced, rolled)])
     def test_fault_fails_its_check(self, tmp_path, monkeypatch, command,
                                    check, module, name, fault):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         assert cli.run(command, cli.RunConfig(), str(tmp_path)) == 1
+        value, bound = failed_line(tmp_path, command, check)
         stem = command.replace("-", "_")
-        line, = [l for l in (tmp_path / f"{stem}_report.txt")
-                 .read_text().splitlines() if l.startswith(f"{check} [")]
-        value, bound = re.fullmatch(r".*\]: (\S+) \(bound (\S+)\) FAIL",
-                                    line).groups()
         row, = [l.split(",") for l in (tmp_path / f"{stem}.csv")
                 .read_text().splitlines() if l.startswith(f"{check},")]
         assert row == [check, value, bound]
+
+    @pytest.mark.parametrize("check,module,name,fault", [
+        ("pde_residual", am, "build_model", massless),
+        ("retarded_pre_support", am, "propagator_apply", advanced)],
+        ids=["pde_residual", "retarded_pre_support"])
+    def test_propagator_fault_fails_its_check(self, tmp_path, monkeypatch,
+                                              check, module, name, fault):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert cli.run("propagator", cli.RunConfig(), str(tmp_path)) == 1
+        failed_line(tmp_path, "propagator", check)
