@@ -8,7 +8,9 @@ Weyl operators exp(i phi(h)) are never formed: weyl_apply applies one to
 vectors by its Chebyshev-Bessel series (Tal-Ezer & Kosloff 1984), and every
 Weyl identity is checked on the vectors it produces.  A batch of b
 displacements is one Weyl operator on the direct sum of b copies of the
-Fock space, the same series on a block-diagonal field.
+Fock space, the same series on a block-diagonal field.  Its callers are
+ccr-verify and kw-verify; the Weyl-convergence experiment needs only
+Gaussian overlaps of Weyl operators, which holography takes in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -221,12 +223,3 @@ def quasifree_expectation_check(rep, kd, ps, v):
     rhs = float(np.exp(-0.5 * (np.asarray(v) @ (ps.eta @ np.asarray(v)))))
     return abs(lhs - rhs)
 
-
-def strong_convergence_test(rep, h_seq, h_lim, psi_set):
-    """(errors, tails) per h_n: maxima over psi of ||(W(h_n) - W(h_lim)) psi||
-    and of the weight W(h_n) psi puts on the top occupation shell n_max."""
-    psis = np.stack([np.asarray(p, dtype=complex) for p in psi_set], axis=1)
-    top = np.array(rep.basis).sum(axis=1) == rep.n_max
-    w_lim, *w_seq = weyl_apply(rep, [h_lim, *h_seq], psis)
-    return ([float(np.linalg.norm(w - w_lim, axis=0).max()) for w in w_seq],
-            [float((np.abs(w[top]) ** 2).sum(axis=0).max()) for w in w_seq])

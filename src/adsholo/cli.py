@@ -516,15 +516,15 @@ def cmd_weyl_convergence(cfg, memo):
     errs = [r[3] for r in rows]
     dec = all(b <= a + cfg.monotonicity_slack for a, b in zip(errs, errs[1:]))
     checks = [
-        ("weyl_errors_decreasing [strong_convergence_test]",
+        ("weyl_errors_decreasing [run_weyl_convergence]",
          0.0 if dec else 1.0, 0.5, dec),
-        _within("weyl_final_error [strong_convergence_test]", errs[-1], 1e-3),
+        _within("weyl_final_error [run_weyl_convergence]", errs[-1], 1e-3),
         ("weyl_lipschitz_r_squared [run_weyl_convergence]", r_squared, 0.95,
          r_squared >= 0.95)]
     notes = [f"lipschitz_constant: {_fmt(lipschitz)}"]
     return checks, notes, "weyl_convergence", ("dict_size", "distance",
-                                               "compressed_distance", "error",
-                                               "fock_tail"), rows
+                                               "compressed_distance",
+                                               "error"), rows
 
 
 _DISPATCH = {

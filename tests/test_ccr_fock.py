@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import block_diag, expm
 
 import reference_ops as ro
@@ -358,6 +359,65 @@ class TestWeylApply:
             cf.weyl_apply(rep, np.zeros((0, 2)), blocks[0])
 
 
+def coherent_gap(rep, weyl_apply, seed):
+    """Largest entry of weyl_apply(rep, h, vacuum) minus the coherent state
+    exp(-||h||^2 / 4) prod_j (i h_j / sqrt 2)^(n_j) / sqrt(n_j!) over the
+    whole basis, for ||h|| from 0.03 to 1.9, so that a displacement 1 %
+    too large stays under WEYL_NORM_CAP."""
+    rng = np.random.default_rng(seed)
+    occ = np.array(rep.basis)
+    root_factorial = np.sqrt([float(factorial(n))
+                              for n in range(rep.n_max + 1)])
+    vac = np.zeros(rep.dim)
+    vac[rep.vacuum_index] = 1.0
+    gap = 0.0
+    for radius in (0.03, 0.3, 1.0, 1.9):
+        h = displacement(rng, rep.one_particle_dim, radius)
+        alpha = 1j * h / np.sqrt(2.0)
+        want = np.exp(-np.linalg.norm(h) ** 2 / 4.0) * np.prod(
+            alpha ** occ / root_factorial[occ], axis=1)
+        gap = max(gap, np.abs(weyl_apply(rep, h, vac) - want).max())
+    return gap
+
+
+class TestCoherentState:
+    @pytest.mark.parametrize("m, n_max", [(1, 40), (2, 40), (3, 40)])
+    def test_vacuum_displacement_amplitudes(self, m, n_max):
+        assert coherent_gap(cf.fock_rep(m, n_max), cf.weyl_apply, m) <= 1e-13
+
+    @pytest.mark.parametrize("fault", [
+        lambda h: np.conj(h), lambda h: 1.01 * np.asarray(h)],
+        ids=["conjugated", "scaled"])
+    def test_wrong_displacement_misses(self, fault):
+        gap = coherent_gap(cf.fock_rep(2, 40), lambda rep, h, psis:
+                           cf.weyl_apply(rep, fault(h), psis), 2)
+        assert gap > 1e-3
+
+
+def series_cut_misses(series):
+    """The a on a grid from 0 to 3000 where series(a) is not J_0(a), then
+    2 i^k J_k(a) up to the last k with |J_k(a)| >= SERIES_CUT, and at least
+    two terms.  That k is found in a window of 30 a^(1/3) + 60 past a."""
+    misses = []
+    for a in np.concatenate([[0.0, 1e-18], np.geomspace(1e-3, 3000.0, 60)]):
+        j = special.jv(np.arange(int(a + 30.0 * np.cbrt(a)) + 60), a)
+        n = max(2, int(np.flatnonzero(np.abs(j) >= cf.SERIES_CUT)[-1]) + 1)
+        want = 2.0 * j[:n] * np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+        want[0] = j[0]
+        c = series(a)
+        if len(c) != n or np.abs(c - want).max() > 1e-15:
+            misses.append(a)
+    return misses
+
+
+class TestSeriesCoefficients:
+    def test_cut_at_last_coefficient_above_series_cut(self):
+        assert series_cut_misses(cf._series_coefficients) == []
+
+    def test_three_terms_short_misses(self):
+        assert series_cut_misses(lambda a: cf._series_coefficients(a)[:-3])
+
+
 class TestKwField:
     def test_classical_limit_commutes(self):
         # sigma = 0: full doubling, all fields commute
@@ -434,56 +494,3 @@ class TestQuasifreeExpectation:
         kd = pc.kahler_from_covariance(ps)
         rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 30)
         assert cf.quasifree_expectation_check(rep, kd, ps, [0.7, 0.2]) <= 1e-8
-
-
-class TestStrongConvergence:
-    def setup_method(self):
-        self.ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        self.kd = pc.kahler_from_covariance(self.ps)
-        self.rep = cf.fock_rep(1, 40)
-        vac = np.zeros(self.rep.dim)
-        vac[self.rep.vacuum_index] = 1.0
-        self.psi = [vac]
-
-    def test_constant_sequence_zero_error(self):
-        v = np.array([0.5, 0.1])
-        h = cf.kw_embedding(self.kd, v)
-        errs, _ = cf.strong_convergence_test(self.rep, [h, h, h], h,
-                                             self.psi)
-        assert max(errs) == 0.0
-
-    def test_geometric_approach_halves_error(self):
-        v = np.array([0.8, 0.0])
-        seq = [(1.0 - 2.0 ** -n) * v for n in range(1, 7)]
-        errs, _ = cf.strong_convergence_test(
-            self.rep, [cf.kw_embedding(self.kd, s) for s in seq],
-            cf.kw_embedding(self.kd, v), self.psi)
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-        ratios = [b / a for a, b in zip(errs, errs[1:])]
-        assert all(0.35 < r < 0.65 for r in ratios)
-
-    def test_fock_tail_is_top_shell_weight(self):
-        # at n_max = 3 the coherent state W(v)|0> visibly reaches the cutoff
-        rep = cf.fock_rep(1, 3)
-        vac = np.zeros(rep.dim)
-        vac[rep.vacuum_index] = 1.0
-        one = np.zeros(rep.dim)
-        one[rep.index[(1,)]] = 1.0
-        seq = [np.array([s, 0.0]) for s in (0.2, 0.6, 1.0)]
-        _, tails = cf.strong_convergence_test(
-            rep, [cf.kw_embedding(self.kd, v) for v in seq],
-            cf.kw_embedding(self.kd, seq[-1]), [vac, one])
-        for v, tail in zip(seq, tails):
-            w = dense_weyl(rep, cf.kw_embedding(self.kd, v))
-            top = rep.index[(3,)]
-            want = max(abs(w[top, rep.vacuum_index]) ** 2,
-                       abs(w[top, rep.index[(1,)]]) ** 2)
-            assert tail == pytest.approx(want, rel=1e-10)
-        assert all(a < b for a, b in zip(tails, tails[1:]))
-        assert tails[-1] > 1e-3
-
-    def test_fock_tail_vanishes_at_default_cutoff(self):
-        v = np.array([0.8, 0.0])
-        h = [cf.kw_embedding(self.kd, s) for s in (0.5 * v, v)]
-        _, tails = cf.strong_convergence_test(self.rep, h, h[1], self.psi)
-        assert max(tails) < 1e-30

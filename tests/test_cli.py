@@ -16,6 +16,7 @@ import reference_ops as ro
 from adsholo import ads_model as am
 from adsholo import ccr_fock as cf
 from adsholo import cli
+from adsholo import holography as hg
 from adsholo import phase_core as pc
 
 
@@ -350,8 +351,7 @@ class TestDeterminism:
         b = (tmp_path / "b" / "weyl_convergence.csv").read_bytes()
         assert a == b
         data = [l for l in a.decode().splitlines() if not l.startswith("#")]
-        assert data[0] == "dict_size,distance,compressed_distance,error," \
-            "fock_tail"
+        assert data[0] == "dict_size,distance,compressed_distance,error"
         assert len(data) == 5
 
     def test_uc_scan_csv_byte_identical(self, tmp_path):
@@ -499,6 +499,22 @@ class TestRunDispatch:
             assert calls == {"fd_mode_frequencies": 2, "build_model": 2,
                              "dual_boundary_matrix": 18}
 
+    def test_check_all_builds_no_two_mode_fock_space(self, tmp_path,
+                                                     monkeypatch):
+        # the Weyl experiment takes its errors in closed form; only the
+        # verify commands build Fock spaces
+        reps = []
+        fock_rep = cf.fock_rep
+
+        def spy(*args):
+            reps.append(fock_rep(*args))
+            return reps[-1]
+
+        monkeypatch.setattr(cf, "fock_rep", spy)
+        cfg = fast_cfg(k=10, n=256, n_bulk=2, ladder="10,20,40,80")
+        assert cli.run("check-all", cfg, str(tmp_path)) == 0
+        assert reps and all(rep.one_particle_dim != 2 for rep in reps)
+
 
 class TestPropagatorResidual:
     def test_perturbed_residual_falls_with_cutoff(self):
@@ -583,6 +599,27 @@ def doubled_dim_off_by_2(kahler_from_covariance):
     return kahler
 
 
+def rungs_swapped(boundary_ladder):
+    """The second and third rung bases in swapped order."""
+    def ladder(*args):
+        first, second, third, *rest = boundary_ladder(*args)
+        return [first, third, second, *rest]
+    return ladder
+
+
+def top_rung_short(boundary_ladder):
+    """The top rung basis without its leading direction."""
+    def ladder(*args):
+        *rungs, top = boundary_ladder(*args)
+        return [*rungs, top[:, 1:]]
+    return ladder
+
+
+def errors_rolled(weyl_errors):
+    """The Weyl errors rolled by one rung against their distances."""
+    return lambda *args: np.roll(weyl_errors(*args), 1)
+
+
 def failed_line(tmp_path, command, check):
     """(value, bound) of the report line of check, which must end in FAIL."""
     line, = [l for l in (tmp_path / f"{command.replace('-', '_')}_report.txt")
@@ -591,9 +628,10 @@ def failed_line(tmp_path, command, check):
 
 
 class TestVerifyChecksFail:
-    """One injected fault per ccr-verify, kw-verify and propagator check
-    fails it: its report line ends in FAIL and run exits 1.  The verify
-    commands' CSV rows also carry the value of the line."""
+    """One injected fault per ccr-verify, kw-verify, propagator and
+    weyl-convergence check fails it: its report line ends in FAIL and run
+    exits 1.  The verify commands' CSV rows also carry the value of the
+    line."""
 
     @pytest.mark.parametrize("command,check,module,name,fault", [
         pytest.param(command, check, *fault, id=check)
@@ -634,3 +672,17 @@ class TestVerifyChecksFail:
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         assert cli.run("propagator", cli.RunConfig(), str(tmp_path)) == 1
         failed_line(tmp_path, "propagator", check)
+
+    @pytest.mark.parametrize("check,name,fault", [
+        ("weyl_errors_decreasing", "boundary_ladder", rungs_swapped),
+        ("weyl_final_error", "boundary_ladder", top_rung_short),
+        ("weyl_lipschitz_r_squared", "_weyl_errors", errors_rolled)],
+        ids=["weyl_errors_decreasing", "weyl_final_error",
+             "weyl_lipschitz_r_squared"])
+    def test_weyl_convergence_fault_fails_its_check(self, tmp_path,
+                                                    monkeypatch, check, name,
+                                                    fault):
+        monkeypatch.setattr(hg, name, fault(getattr(hg, name)))
+        assert cli.run("weyl-convergence", cli.RunConfig(),
+                       str(tmp_path)) == 1
+        failed_line(tmp_path, "weyl-convergence", check)

@@ -198,10 +198,10 @@ def inclusion(model, plan):
                             *hg.ladder_pass(model, **plan))
 
 
-def weyl(model, plan, n_max):
+def weyl(model, plan):
     """run_weyl_convergence on the ladder pass of plan."""
     return hg.run_weyl_convergence(plan["ladder"],
-                                   *hg.ladder_pass(model, **plan), n_max=n_max)
+                                   *hg.ladder_pass(model, **plan))
 
 
 def elements(groups):
@@ -240,7 +240,7 @@ class TestSharedLadder:
 
     def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
                                                      small_model):
-        rows, _, _ = weyl(small_model, small_plan, 24)
+        rows, _, _ = weyl(small_model, small_plan)
         target = hg.bulk_generators(small_model, small_plan["v_region"],
                                     small_plan["n_bulk"],
                                     seed=small_plan["seed"])[0]
@@ -254,39 +254,54 @@ class TestSharedLadder:
 
 class TestWeylConvergence:
     def test_report_structure_and_decay(self, small_plan, small_model):
-        rows, _, _ = weyl(small_model, small_plan, 24)
-        sizes, dists, comp_dists, errors, _ = zip(*rows)
+        rows, _, _ = weyl(small_model, small_plan)
+        sizes, dists, comp_dists, errors = zip(*rows)
         assert sizes == small_plan["ladder"]
         assert all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0]
         assert all(cd <= d + 1e-12 for cd, d in zip(comp_dists, dists))
 
-    def test_fock_tails_shrink_with_cutoff(self, small_plan, small_model):
-        bases, w = hg.ladder_pass(small_model, **small_plan)
-        tails = {n: [r[4] for r in hg.run_weyl_convergence(
-                     small_plan["ladder"], bases, w, n_max=n)[0]]
-                 for n in (8, 24)}
-        assert all(len(t) == len(small_plan["ladder"])
-                   for t in tails.values())
-        assert 0.0 < max(tails[24]) < 1e-20 < min(tails[8])
-
-    def test_plane_embedding_is_kw_embedding(self):
-        # the Kaehler embedding of the compressed plane's pure state, bit
-        # for bit, over six decades of |z|
+    def test_closed_form_matches_fock(self):
+        # the Weyl errors of the pure-state plane embeddings, applied on the
+        # two-mode Fock space of cutoff 40 to the vacuum and the (1, 0)
+        # state, equal the closed form over six decades of |z|; half the
+        # pairs lie within 1e-8 relative of each other, where the direct
+        # form 1 - cos(theta) e^-x misses by about 1e-10
         eye, zero = np.eye(2), np.zeros((2, 2))
         ps = pc.PhaseSpace(4, np.eye(4),
                            2.0 * np.block([[zero, eye], [-eye, zero]]))
         kd = pc.kahler_from_covariance(ps)
         rng = np.random.default_rng(5)
-        for _ in range(2000):
-            z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            z *= 10.0 ** rng.uniform(-8, 1) / np.linalg.norm(z)
-            assert np.array_equal(
-                hg._plane_embedding(z),
-                cf.kw_embedding(kd, np.concatenate([z.real, z.imag])))
+        z = rng.standard_normal((2, 40, 2)) + 1j * rng.standard_normal(
+            (2, 40, 2))
+        z *= 10.0 ** rng.uniform(-6, 0, (2, 40, 1)) / np.linalg.norm(
+            z, axis=2, keepdims=True)
+        near = 10.0 ** rng.uniform(-16, -8, (20, 1))
+        z[1, ::2] = z[0, ::2] + near * z[1, ::2]
+        rep = cf.fock_rep(2, 40)
+        psis = np.zeros((rep.dim, 2))
+        psis[[rep.vacuum_index, rep.index[(1, 0)]], [0, 1]] = 1.0
+        w_seq, w_lim = cf.weyl_apply(rep, [
+            cf.kw_embedding(kd, np.concatenate([v.real, v.imag]))
+            for v in z.reshape(-1, 2)], psis).reshape(2, 40, rep.dim, 2)
+        fock = np.linalg.norm(w_seq - w_lim, axis=1).max(axis=1)
+        closed = [hg._weyl_errors([a], b)[0] for a, b in zip(*z)]
+        assert np.abs(fock - closed).max() <= 1e-13
+
+    def test_constant_sequence_zero_error(self):
+        z = np.array([0.5 + 0.1j, -0.2 + 0.3j])
+        assert hg._weyl_errors([z, z, z], z).max() == 0.0
+
+    def test_geometric_approach_halves_error(self):
+        z = np.array([0.6 - 0.2j, 0.3 + 0.4j])
+        errs = hg._weyl_errors([(1.0 - 2.0 ** -n) * z for n in range(1, 7)],
+                               z)
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        ratios = [b / a for a, b in zip(errs, errs[1:])]
+        assert all(0.35 < r < 0.65 for r in ratios)
 
     def test_fit_is_positive_slope(self, small_plan, small_model):
-        _, lipschitz, r_squared = weyl(small_model, small_plan, 24)
+        _, lipschitz, r_squared = weyl(small_model, small_plan)
         assert lipschitz > 0.0
         assert 0.0 <= r_squared <= 1.0
 
