@@ -174,11 +174,7 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     p = 2.0 + 2.0 * nu
     a = np.vstack([np.ones(3), h ** 2, h ** p]).T
     vals = np.vstack([raw(n) for n in ns])
-    out = np.empty(K)
-    for k in range(K):
-        coef, *_ = np.linalg.lstsq(a, vals[:, k], rcond=None)
-        out[k] = coef[0]
-    return out
+    return np.linalg.lstsq(a, vals, rcond=None)[0][0]
 
 
 def build_model(nu, K, N=512, perturbation=None, support_margin=3):

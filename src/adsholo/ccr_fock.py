@@ -11,6 +11,9 @@ displacements is one Weyl operator on the direct sum of b copies of the
 Fock space, the same series on a block-diagonal field.  Its callers are
 ccr-verify and kw-verify; the Weyl-convergence experiment needs only
 Gaussian overlaps of Weyl operators, which holography takes in closed form.
+A quasi-free state enters only through its one-particle structure K
+(phase_core.one_particle_structure): the field of a phase-space vector v is
+segal_field(rep, K v) on the Fock space over C^m, m the number of rows of K.
 """
 
 from dataclasses import dataclass, field
@@ -176,50 +179,12 @@ def weyl_apply(rep, h, psis):
     return out if h.ndim == 2 else out[0]
 
 
-def kw_one_particle_dim(kd):
-    """Complex dimension of the doubled one-particle space for kw_field."""
-    return kd.pair_p.shape[1] + int(np.sum(kd.doubling))
-
-
-def kw_embedding(kd, v):
-    """Complex one-particle vector representing the real phase-space vector v.
-
-    The first block carries sqrt(1+|b|) on the j-holomorphic coordinates; the
-    second block doubles the spectral planes of |b| with eigenvalue != 1,
-    weighted by sqrt(1-|b|).
-    """
-    v = np.asarray(v, dtype=float)
-    vt = kd.eta_sqrt @ v
-    z = kd.pair_p.T @ vt + 1j * (kd.pair_q.T @ vt)
-    lam = kd.pair_lambda
-    main = np.sqrt(1.0 + lam) * np.conj(z)
-    extra = np.sqrt(np.clip(1.0 - lam[kd.doubling], 0.0, None)) * z[kd.doubling]
-    return np.concatenate([main, extra])
-
-
-def kw_field(rep, kd, ps, v):
-    """Field operator of the quasi-free state with covariance eta.
-
-    Satisfies [kw_field(v), kw_field(w)] = i (v . sigma w) on occupation
-    levels below the cutoff.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ps.dim,):
-        raise ShapeError("vector must match the phase space dimension")
-    m = kw_one_particle_dim(kd)
-    if rep.one_particle_dim != m:
-        raise ShapeError(
-            f"rep has one-particle dim {rep.one_particle_dim}, need {m}")
-    return segal_field(rep, kw_embedding(kd, v))
-
-
-def quasifree_expectation_check(rep, kd, ps, v):
+def quasifree_expectation_check(rep, k, ps, v):
     """Absolute gap between the truncated vacuum expectation of
-    exp(i phi(v)) and the closed Gaussian form exp(-eta(v, v) / 2)."""
-    h = kw_embedding(kd, np.asarray(v, dtype=float))
+    exp(i phi(K v)) and the closed Gaussian form exp(-eta(v, v) / 2), for
+    K = k the one-particle structure of ps, so that ||K v||^2 = 2 eta(v, v)."""
+    v = np.asarray(v, dtype=float)
     vac = np.zeros(rep.dim)
     vac[rep.vacuum_index] = 1.0
-    lhs = complex(weyl_apply(rep, h, vac)[rep.vacuum_index])
-    rhs = float(np.exp(-0.5 * (np.asarray(v) @ (ps.eta @ np.asarray(v)))))
-    return abs(lhs - rhs)
-
+    lhs = complex(weyl_apply(rep, k @ v, vac)[rep.vacuum_index])
+    return abs(lhs - float(np.exp(-0.5 * (v @ (ps.eta @ v)))))

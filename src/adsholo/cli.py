@@ -437,42 +437,42 @@ def cmd_ccr_verify(cfg, memo):
 def cmd_kw_verify(cfg, memo):
     jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    # pure saturated case
+    # pure saturated case: K has d / 2 = 1 row
     ps2 = pc.PhaseSpace(2, np.eye(2), 2.0 * jmat)
-    kd2 = pc.kahler_from_covariance(ps2)
-    rep = cf.fock_rep(cf.kw_one_particle_dim(kd2), 40)
-    f1 = cf.kw_field(rep, kd2, ps2, [1.0, 0.0])
-    f2 = cf.kw_field(rep, kd2, ps2, [0.0, 1.0])
+    k2 = pc.one_particle_structure(ps2)
+    rep = cf.fock_rep(len(k2), 40)
+    f1, f2 = (cf.segal_field(rep, h) for h in k2.T)
     checks = [
-        _within("pure_commutator_residual [kw_field]", _commutator_residual(
-            rep, f1, f2, 2.0, rep.n_max - 2), 1e-8),
+        _within("pure_commutator_residual [one_particle_structure]",
+                _commutator_residual(rep, f1, f2, 2.0, rep.n_max - 2), 1e-8),
         _within("pure_quasifree_error [quasifree_expectation_check]",
-                cf.quasifree_expectation_check(rep, kd2, ps2, [1.0, 0.0]),
+                cf.quasifree_expectation_check(rep, k2, ps2, [1.0, 0.0]),
                 1e-6)]
 
-    # mixed case with a genuine doubling block
+    # mixed case: the second plane is not saturated, so K has 2 rows there
     eta4 = np.diag([1.0, 1.0, 2.0, 2.0])
     sigma4 = np.zeros((4, 4))
     sigma4[:2, :2] = 2.0 * jmat
     sigma4[2:, 2:] = 2.0 * jmat
     ps4 = pc.PhaseSpace(4, eta4, sigma4)
-    kd4 = pc.kahler_from_covariance(ps4)
-    checks.append(("mixed_doubled_dim [kahler_from_covariance]",
-                   float(kd4.doubled_dim), 2.0, kd4.doubled_dim == 2))
-    rep4 = cf.fock_rep(cf.kw_one_particle_dim(kd4), 12)
+    k4 = pc.one_particle_structure(ps4)
+    doubled = 2 * len(k4) - ps4.dim
+    checks.append(("mixed_doubled_dim [one_particle_structure]",
+                   float(doubled), 2.0, doubled == 2))
+    rep4 = cf.fock_rep(len(k4), 12)
     rng = np.random.default_rng(cfg.seed)
     comm4 = 0.0
     for _ in range(5):
         v = rng.standard_normal(4) * 0.5
         w = rng.standard_normal(4) * 0.5
-        fv = cf.kw_field(rep4, kd4, ps4, v)
-        fw = cf.kw_field(rep4, kd4, ps4, w)
         comm4 = max(comm4, _commutator_residual(
-            rep4, fv, fw, float(v @ (ps4.sigma @ w)), rep4.n_max - 2))
+            rep4, cf.segal_field(rep4, k4 @ v), cf.segal_field(rep4, k4 @ w),
+            float(v @ (ps4.sigma @ w)), rep4.n_max - 2))
     checks += [
-        _within("mixed_commutator_residual [kw_field]", comm4, 1e-8),
+        _within("mixed_commutator_residual [one_particle_structure]", comm4,
+                1e-8),
         _within("mixed_quasifree_error [quasifree_expectation_check]",
-                cf.quasifree_expectation_check(rep4, kd4, ps4,
+                cf.quasifree_expectation_check(rep4, k4, ps4,
                                                [0.4, 0.1, -0.2, 0.3]),
                 1e-6)]
     return (checks, [], "kw_verify", ("check", "value", "bound"),
@@ -511,16 +511,19 @@ def cmd_uc_scan(cfg, memo):
 
 
 def cmd_weyl_convergence(cfg, memo):
-    rows, lipschitz, r_squared = hg.run_weyl_convergence(
+    rows, lipschitz = hg.run_weyl_convergence(
         parse_ladder(cfg.ladder), *shared_ladder(cfg, memo))
     errs = [r[3] for r in rows]
     dec = all(b <= a + cfg.monotonicity_slack for a, b in zip(errs, errs[1:]))
+    # error / (lipschitz * compressed distance); a rung at distance 0 must
+    # have error 0
+    ratio = max(e / (lipschitz * cd) if cd > 0.0 else
+                (0.0 if e == 0.0 else math.inf) for _, _, cd, e in rows)
     checks = [
         ("weyl_errors_decreasing [run_weyl_convergence]",
          0.0 if dec else 1.0, 0.5, dec),
         _within("weyl_final_error [run_weyl_convergence]", errs[-1], 1e-3),
-        ("weyl_lipschitz_r_squared [run_weyl_convergence]", r_squared, 0.95,
-         r_squared >= 0.95)]
+        _within("weyl_lipschitz_ratio [run_weyl_convergence]", ratio, 1.0)]
     notes = [f"lipschitz_constant: {_fmt(lipschitz)}"]
     return checks, notes, "weyl_convergence", ("dict_size", "distance",
                                                "compressed_distance",

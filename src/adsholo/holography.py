@@ -11,7 +11,8 @@ Residuals are monotone along the ladder up to the rank cutoff of the rung's
 SVD.  Both experiments are functions of one ladder pass: the rung span bases
 and the embedded bulk generators, which a run computes once and shares.  The
 Weyl experiment builds no Fock space: its errors on the vacuum and a
-one-particle vector are Gaussian overlaps, taken in closed form.
+one-particle vector are Gaussian overlaps, taken in closed form, and the
+same form bounds them by a constant times the distance from the target.
 
 The regions, the ladder, the bulk family size and the seed come in as plain
 arguments, and the results go out as plain rows and numbers; the command
@@ -192,19 +193,6 @@ def _compress_directions(c_target, c_approx):
     return u1, u2 / n2
 
 
-def _fit_through_data(x, y):
-    """Least-squares slope of y on x with intercept, plus R^2."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
-
 def _weyl_errors(z_seq, z_lim):
     """max over psi in {Omega, a*(e_1) Omega} of ||(W(f_n) - W(g)) psi||, for
     f_n, g the pure-state plane embeddings sqrt(2) (-i z[::-1]) of z_n, z_lim
@@ -212,7 +200,10 @@ def _weyl_errors(z_seq, z_lim):
     x = |d|^2 / 2 and theta = Im <d, z_lim>, the squares are
     2 (1 - cos theta e^-x) and that plus 2 cos theta e^-x |d_2|^2.  The
     first is summed as 2 (-expm1(-x) + 2 e^-x sin^2(theta / 2)), with no
-    cancellation at distances near the rounding floor."""
+    cancellation at distances near the rounding floor.
+
+    Since 1 - cos theta e^-x <= theta^2 / 2 + x, |theta| <= |d| |z_lim| and
+    |d_2| <= |d|, each error is at most sqrt(3 + |z_lim|^2) |d|."""
     d = np.asarray(z_seq) - z_lim
     x = 0.5 * np.sum(np.abs(d) ** 2, axis=1)
     theta = np.imag(d.conj() @ z_lim)
@@ -224,7 +215,7 @@ def _weyl_errors(z_seq, z_lim):
 
 def run_weyl_convergence(ladder, bases, w):
     """Weyl-operator convergence along the boundary approximant ladder, as
-    (rows, lipschitz, r_squared).
+    (rows, lipschitz).
 
     The first bulk vector of ladder_pass (rescaled to norm 1/2) and its
     orthogonal projections onto the boundary spans are compressed to the
@@ -233,8 +224,8 @@ def run_weyl_convergence(ladder, bases, w):
     one-particle vector, in the closed form of _weyl_errors.  One row per
     rung: (dict_size, distance of the approximant from the target, the same
     in the compressed plane, largest Weyl-operator error over the two
-    vectors).  The least-squares fit of the errors on the distances gives
-    the Lipschitz slope and its R^2.
+    vectors).  lipschitz is the constant sqrt(3 + |z_lim|^2) of
+    _weyl_errors: no error exceeds it times the compressed distance.
     """
     if not w.shape[1]:
         raise CompressionRankError("bulk region is empty; no target vector")
@@ -257,9 +248,8 @@ def run_weyl_convergence(ladder, bases, w):
     comp_dist = [float(np.linalg.norm(am.embed_one_particle(z - z_lim)))
                  for z in z_seq]
     errors = _weyl_errors(z_seq, z_lim).tolist()
-
-    lip, r2 = _fit_through_data(distances, errors)
-    return list(zip(ladder, distances, comp_dist, errors)), lip, r2
+    lipschitz = float(np.sqrt(3.0 + np.linalg.norm(z_lim) ** 2))
+    return list(zip(ladder, distances, comp_dist, errors)), lipschitz
 
 
 def nested_uc_family(model, t_halves):

@@ -1,9 +1,10 @@
 """Covariance/symplectic linear algebra on a finite-dimensional real phase space.
 
-A phase space carries a strictly positive symmetric form ``eta`` (the state
-covariance) and an antisymmetric form ``sigma``.  From the pair one builds the
-operator ``b = eta^{-1} sigma / 2``, its polar parts in the eta-geometry, and a
-compatible complex structure ``j``.
+A phase space carries a positive semidefinite symmetric form ``eta`` (the
+state covariance) and an antisymmetric form ``sigma``.  The one-particle
+structure of the quasi-free state they define is one factorization
+K^H K = 2 eta + i sigma of a Hermitian form, which exists exactly when sigma
+is dominated by the covariance.
 
 Subspace geometry (span bases, inclusion residuals) works on plain arrays in
 coordinates where eta is the identity, as it is for the ground state in the
@@ -11,7 +12,7 @@ mode coordinates: the span of a generator matrix is the rank cutoff of its
 SVD, and residuals are Euclidean.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +24,14 @@ class ShapeError(ValueError):
     line's ConfigError derives from it."""
 
 
-class DegenerateCovarianceError(ShapeError):
-    """eta has an eigenvalue at or below the relative rank cutoff."""
-
-
-class KernelParityError(ShapeError):
-    """ker(b) is odd-dimensional, so no anti-involution exists on it."""
-
-
 class PositivityViolationError(ShapeError):
-    """sigma is not dominated by the covariance at the requested factor."""
+    """2 eta + i sigma is not positive semidefinite: sigma is not dominated
+    by the covariance."""
 
 
 # numerical tolerances for double-precision Gram computations
 RANK_TOLERANCE = 1e-10       # relative singular value cutoff
 NUM_TOLERANCE = 1e-9         # residuals of exact matrix identities
-SPECTRAL_TOLERANCE = 1e-8    # eigenvalue-of-|b| equality with 1
 
 
 def _as_matrix(a, d=None):
@@ -75,142 +68,27 @@ class PhaseSpace:
         object.__setattr__(self, "sigma", 0.5 * (sigma - sigma.T))
 
 
-@dataclass(frozen=True)
-class KahlerData:
-    """Polar data of b = eta^{-1} sigma / 2 and the compatible complex structure.
+def one_particle_structure(ps):
+    """The (m, d) complex matrix K with K^H K = 2 eta + i sigma: the
+    one-particle structure of the quasi-free state of (eta, sigma), unique up
+    to a unitary on C^m (Kay & Wald, Phys. Rep. 207, 1991, Appendix A).
 
-    The pair arrays live in eta-orthonormal coordinates: column k of
-    ``pair_p``/``pair_q`` spans a j-invariant plane on which |b| acts with
-    eigenvalue ``pair_lambda[k]``.  ``doubling`` flags the planes whose
-    eigenvalue differs from 1 (the non-pure part).
+    The Hermitian form is positive semidefinite exactly when sigma is
+    dominated by the covariance, |sigma(v, w)|^2 <= 4 eta(v, v) eta(w, w);
+    an eigenvalue below -NUM_TOLERANCE max(mu_max, 1) raises
+    PositivityViolationError.  K is sqrt(mu) V^H on the eigenpairs with mu
+    above RANK_TOLERANCE mu_max, so m is the rank of the form: d / 2 for a
+    pure state, more for a mixed one.  The field of v is the Segal field of
+    K v, whose commutators are i sigma and whose vacuum expectations are
+    exp(-eta(v, v) / 2).
     """
-
-    b: np.ndarray
-    b_modulus: np.ndarray
-    j: np.ndarray
-    pure: bool
-    doubled_dim: int
-    pair_p: np.ndarray = field(repr=False)
-    pair_q: np.ndarray = field(repr=False)
-    pair_lambda: np.ndarray = field(repr=False)
-    doubling: np.ndarray = field(repr=False)
-    eta_sqrt: np.ndarray = field(repr=False)
-    eta_sqrt_inv: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    holds: bool
-    domination_norm: float
-
-
-def _eta_eig(ps):
-    w, v = np.linalg.eigh(ps.eta)
-    if w[-1] <= 0.0 or w[0] <= RANK_TOLERANCE * w[-1]:
-        raise DegenerateCovarianceError(
-            f"eta eigenvalue {w[0]:.3e} below rank cutoff "
-            f"{RANK_TOLERANCE * w[-1]:.3e}")
-    return w, v
-
-
-def _eta_sqrts(ps):
-    w, v = _eta_eig(ps)
-    s = np.sqrt(w)
-    return (v * s) @ v.T, (v / s) @ v.T
-
-
-def check_positivity(ps, c):
-    """Check that sigma is dominated by c times the covariance norm.
-
-    domination_norm is the spectral norm of eta^{-1/2} sigma eta^{-1/2};
-    c = 1 corresponds to the literal Cauchy-Schwarz domination, c = 2 to
-    sigma = 2 eta b with ||b|| <= 1.
-    """
-    _, eta_isqrt = _eta_sqrts(ps)
-    m = eta_isqrt @ ps.sigma @ eta_isqrt
-    norm = float(np.linalg.norm(m, ord=2))
-    return PositivityReport(holds=norm <= c + NUM_TOLERANCE,
-                            domination_norm=norm)
-
-
-def kahler_from_covariance(ps):
-    """Build b, |b| and the complex structure j from (eta, sigma).
-
-    On the eta-orthogonal complement of ker b, j is the polar isometry part
-    of b.  On ker b, j pairs consecutive vectors of an eta-orthonormalized
-    kernel basis (index order), which fixes an otherwise arbitrary choice.
-    """
-    rep = check_positivity(ps, 2.0)
-    if not rep.holds:
+    mu, v = np.linalg.eigh(2.0 * ps.eta + 1j * ps.sigma)
+    if mu[0] < -NUM_TOLERANCE * max(mu[-1], 1.0):
         raise PositivityViolationError(
-            f"domination norm {rep.domination_norm:.6f} exceeds 2")
-    d = ps.dim
-    eta_sqrt, eta_isqrt = _eta_sqrts(ps)
-    bt = 0.5 * (eta_isqrt @ ps.sigma @ eta_isqrt)
-    bt = 0.5 * (bt - bt.T)
-
-    mu, u = np.linalg.eigh(-bt @ bt)   # symmetric PSD, ascending
-    lam = np.sqrt(np.clip(mu, 0.0, None))
-    lam_max = lam[-1] if d else 0.0
-    kernel_cut = RANK_TOLERANCE * max(lam_max, 1.0)
-    in_kernel = lam <= kernel_cut
-
-    n_kernel = int(np.sum(in_kernel))
-    if n_kernel % 2 == 1:
-        raise KernelParityError(f"ker b has odd dimension {n_kernel}")
-
-    ps_cols, qs_cols, lams = [], [], []
-
-    # kernel planes: pair consecutive kernel basis vectors, q = u_{2i}, p = u_{2i+1}
-    # so that the block of j in that basis is [[0, 1], [-1, 0]]
-    ker_basis = u[:, in_kernel]
-    for i in range(0, n_kernel, 2):
-        ps_cols.append(ker_basis[:, i + 1])
-        qs_cols.append(ker_basis[:, i])
-        lams.append(0.0)
-
-    # nonzero planes: greedy pairing inside eigenspaces of |b|, descending
-    nz_idx = np.nonzero(~in_kernel)[0][::-1]
-    taken = np.zeros((d, 0))
-    for i in nz_idx:
-        cand = u[:, i]
-        if taken.shape[1]:
-            cand = cand - taken @ (taken.T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm < 0.5:
-            continue   # already covered by the partner of a previous p
-        p = cand / nrm
-        bp = bt @ p
-        lam_i = np.linalg.norm(bp)
-        q = bp / lam_i
-        ps_cols.append(p)
-        qs_cols.append(q)
-        lams.append(float(lam_i))
-        taken = np.column_stack([taken, p, q])
-
-    pair_p = np.column_stack(ps_cols) if ps_cols else np.zeros((d, 0))
-    pair_q = np.column_stack(qs_cols) if qs_cols else np.zeros((d, 0))
-    pair_lambda = np.array(lams)
-
-    jt = pair_q @ pair_p.T - pair_p @ pair_q.T
-    bmod_t = (pair_p * pair_lambda) @ pair_p.T + (pair_q * pair_lambda) @ pair_q.T
-
-    doubling = np.abs(pair_lambda - 1.0) > SPECTRAL_TOLERANCE
-    doubled_dim = 2 * int(np.sum(doubling))
-
-    return KahlerData(
-        b=eta_isqrt @ bt @ eta_sqrt,
-        b_modulus=eta_isqrt @ bmod_t @ eta_sqrt,
-        j=eta_isqrt @ jt @ eta_sqrt,
-        pure=doubled_dim == 0,
-        doubled_dim=doubled_dim,
-        pair_p=pair_p,
-        pair_q=pair_q,
-        pair_lambda=pair_lambda,
-        doubling=doubling,
-        eta_sqrt=eta_sqrt,
-        eta_sqrt_inv=eta_isqrt,
-    )
+            f"2 eta + i sigma has eigenvalue {mu[0]:.3e} < 0: sigma is not "
+            "dominated by the covariance")
+    keep = mu > RANK_TOLERANCE * mu[-1]
+    return np.sqrt(mu[keep])[:, None] * v[:, keep].conj().T
 
 
 def span_basis(g):

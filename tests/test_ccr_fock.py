@@ -418,24 +418,30 @@ class TestSeriesCoefficients:
         assert series_cut_misses(lambda a: cf._series_coefficients(a)[:-3])
 
 
+def kw_field(rep, k, v):
+    """The field of the phase-space vector v for one-particle structure k."""
+    return cf.segal_field(rep, k @ np.asarray(v, dtype=float)).toarray()
+
+
 class TestKwField:
+    """Fields phi(K v) of a quasi-free state reproduce its symplectic form:
+    [phi(K v), phi(K w)] = i sigma(v, w) below the cutoff."""
+
     def test_classical_limit_commutes(self):
-        # sigma = 0: full doubling, all fields commute
+        # sigma = 0: K has d rows and all fields commute
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
-        kd = pc.kahler_from_covariance(ps)
-        rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 6)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).toarray()
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).toarray()
+        k = pc.one_particle_structure(ps)
+        rep = cf.fock_rep(len(k), 6)
+        f1, f2 = kw_field(rep, k, [1.0, 0.0]), kw_field(rep, k, [0.0, 1.0])
         comm = f1 @ f2 - f2 @ f1
         cols = low_occupation_columns(rep, rep.n_max - 2)
         assert np.abs(comm[:, cols]).max() < 1e-12
 
     def test_pure_case_commutator(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
-        rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 12)
-        f1 = cf.kw_field(rep, kd, ps, [1.0, 0.0]).toarray()
-        f2 = cf.kw_field(rep, kd, ps, [0.0, 1.0]).toarray()
+        k = pc.one_particle_structure(ps)
+        rep = cf.fock_rep(len(k), 12)
+        f1, f2 = kw_field(rep, k, [1.0, 0.0]), kw_field(rep, k, [0.0, 1.0])
         comm = f1 @ f2 - f2 @ f1
         for j in low_occupation_columns(rep, 10):
             col = comm[:, j].copy()
@@ -448,15 +454,14 @@ class TestKwField:
         sigma[:2, :2] = 2.0 * J
         sigma[2:, 2:] = 2.0 * J
         ps = pc.PhaseSpace(4, eta, sigma)
-        kd = pc.kahler_from_covariance(ps)
-        assert cf.kw_one_particle_dim(kd) == 3
+        k = pc.one_particle_structure(ps)
+        assert len(k) == 3
         rep = cf.fock_rep(3, 12)
         rng = np.random.default_rng(1)
         for _ in range(3):
             v = 0.5 * rng.standard_normal(4)
             w = 0.5 * rng.standard_normal(4)
-            fv = cf.kw_field(rep, kd, ps, v).toarray()
-            fw = cf.kw_field(rep, kd, ps, w).toarray()
+            fv, fw = kw_field(rep, k, v), kw_field(rep, k, w)
             comm = fv @ fw - fw @ fv
             s = float(v @ (ps.sigma @ w))
             for j in low_occupation_columns(rep, 10):
@@ -468,29 +473,29 @@ class TestKwField:
 class TestQuasifreeExpectation:
     def test_zero_vector(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
+        k = pc.one_particle_structure(ps)
         rep = cf.fock_rep(1, 10)
         # exp(i phi(0)) = 1, and exp(-eta(0, 0) / 2) = 1 exactly
         assert cf.quasifree_expectation_check(
-            rep, kd, ps, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+            rep, k, ps, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_case_gaussian_form(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
+        k = pc.one_particle_structure(ps)
         rep = cf.fock_rep(1, 40)
-        assert cf.quasifree_expectation_check(rep, kd, ps, [1.0, 0.0]) <= 1e-6
+        assert cf.quasifree_expectation_check(rep, k, ps, [1.0, 0.0]) <= 1e-6
 
     def test_error_sweep_within_unit_ball(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
+        k = pc.one_particle_structure(ps)
         rep = cf.fock_rep(1, 40)
         for s in (0.2, 0.5, 0.8, 1.0):
             assert cf.quasifree_expectation_check(
-                rep, kd, ps, [s, 0.0]) <= 1e-5
+                rep, k, ps, [s, 0.0]) <= 1e-5
 
     def test_mixed_state_expectation(self):
         # sigma = 0 with eta = identity: fully classical Gaussian state
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
-        kd = pc.kahler_from_covariance(ps)
-        rep = cf.fock_rep(cf.kw_one_particle_dim(kd), 30)
-        assert cf.quasifree_expectation_check(rep, kd, ps, [0.7, 0.2]) <= 1e-8
+        k = pc.one_particle_structure(ps)
+        rep = cf.fock_rep(len(k), 30)
+        assert cf.quasifree_expectation_check(rep, k, ps, [0.7, 0.2]) <= 1e-8

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -558,6 +559,30 @@ class TestRefusalContract:
         assert list(tmp_path.iterdir()) == []
 
 
+REFERENCE = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                        / "reference.json").read_text())
+
+
+class TestReferenceValues:
+    """The check values of ccr-verify and kw-verify stay within the stored
+    tolerance of the benchmark's reference, with the same number of rows."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verify_values_match_reference(self, tmp_path, seed):
+        want = REFERENCE["workloads"]["fock_identities"][str(seed)]
+        cfg = dataclasses.replace(cli.RunConfig(), seed=seed)
+        for label, want_values in want.items():
+            command = label.split(":", 1)[1]
+            stem = command.replace("-", "_")
+            assert cli.run(command, cfg, str(tmp_path)) == 0
+            lines = [l for l in (tmp_path / f"{stem}.csv").read_text()
+                     .splitlines() if not l.startswith("#")]
+            values = [float(l.split(",")[1]) for l in lines[1:]]
+            ref = want_values[f"{stem}.csv:value"]
+            assert len(values) == len(ref)
+            assert np.abs(np.subtract(values, ref)).max() <= REFERENCE["atol"]
+
+
 def scaled(fn):
     """fn with its result scaled by 1.01."""
     return lambda *args: 1.01 * fn(*args)
@@ -592,11 +617,18 @@ def advanced(propagator_apply):
         model, v, "advanced", **kwargs)
 
 
-def doubled_dim_off_by_2(kahler_from_covariance):
-    def kahler(ps):
-        kd = kahler_from_covariance(ps)
-        return dataclasses.replace(kd, doubled_dim=kd.doubled_dim + 2)
-    return kahler
+def conjugated(fn):
+    """fn with its result complex conjugated."""
+    return lambda *args: np.conj(fn(*args))
+
+
+def row_dropped(fn):
+    """fn with the last row of its result dropped where it has more than
+    one: the rank of a mixed state undercounted."""
+    def short(*args):
+        k = fn(*args)
+        return k[:-1] if len(k) > 1 else k
+    return short
 
 
 def rungs_swapped(boundary_ladder):
@@ -620,6 +652,12 @@ def errors_rolled(weyl_errors):
     return lambda *args: np.roll(weyl_errors(*args), 1)
 
 
+def errors_doubled(weyl_errors):
+    """The Weyl errors doubled: still decreasing and small at the top rung,
+    but above the Lipschitz bound."""
+    return lambda *args: 2.0 * weyl_errors(*args)
+
+
 def failed_line(tmp_path, command, check):
     """(value, bound) of the report line of check, which must end in FAIL."""
     line, = [l for l in (tmp_path / f"{command.replace('-', '_')}_report.txt")
@@ -641,15 +679,15 @@ class TestVerifyChecksFail:
             ("ccr-verify", "weyl_adjoint_residual",
              (cf, "segal_field", creation_scaled)),
             ("kw-verify", "pure_commutator_residual",
-             (cf, "kw_field", scaled)),
+             (pc, "one_particle_structure", conjugated)),
             ("kw-verify", "pure_quasifree_error",
-             (cf, "kw_embedding", scaled)),
+             (pc, "one_particle_structure", scaled)),
             ("kw-verify", "mixed_doubled_dim",
-             (pc, "kahler_from_covariance", doubled_dim_off_by_2)),
+             (pc, "one_particle_structure", row_dropped)),
             ("kw-verify", "mixed_commutator_residual",
-             (cf, "kw_field", scaled)),
+             (pc, "one_particle_structure", conjugated)),
             ("kw-verify", "mixed_quasifree_error",
-             (cf, "weyl_apply", displaced))]] + [
+             (pc, "one_particle_structure", scaled))]] + [
         pytest.param("ccr-verify", "weyl_relation_residual", cf, "weyl_apply",
                      fault, id=f"weyl_relation_residual-{fault.__name__}")
         for fault in (displaced, rolled)])
@@ -676,9 +714,9 @@ class TestVerifyChecksFail:
     @pytest.mark.parametrize("check,name,fault", [
         ("weyl_errors_decreasing", "boundary_ladder", rungs_swapped),
         ("weyl_final_error", "boundary_ladder", top_rung_short),
-        ("weyl_lipschitz_r_squared", "_weyl_errors", errors_rolled)],
+        ("weyl_lipschitz_ratio", "_weyl_errors", errors_rolled)],
         ids=["weyl_errors_decreasing", "weyl_final_error",
-             "weyl_lipschitz_r_squared"])
+             "weyl_lipschitz_ratio"])
     def test_weyl_convergence_fault_fails_its_check(self, tmp_path,
                                                     monkeypatch, check, name,
                                                     fault):
@@ -686,3 +724,13 @@ class TestVerifyChecksFail:
         assert cli.run("weyl-convergence", cli.RunConfig(),
                        str(tmp_path)) == 1
         failed_line(tmp_path, "weyl-convergence", check)
+
+    def test_lipschitz_ratio_fails_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hg, "_weyl_errors",
+                            errors_doubled(hg._weyl_errors))
+        assert cli.run("weyl-convergence", cli.RunConfig(),
+                       str(tmp_path)) == 1
+        fails = [l.split(" [")[0] for l in (
+            tmp_path / "weyl_convergence_report.txt").read_text().splitlines()
+            if l.endswith(" FAIL")]
+        assert fails == ["weyl_lipschitz_ratio"]

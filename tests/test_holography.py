@@ -240,7 +240,7 @@ class TestSharedLadder:
 
     def test_weyl_distances_match_fresh_dictionaries(self, small_plan,
                                                      small_model):
-        rows, _, _ = weyl(small_model, small_plan)
+        rows, _ = weyl(small_model, small_plan)
         target = hg.bulk_generators(small_model, small_plan["v_region"],
                                     small_plan["n_bulk"],
                                     seed=small_plan["seed"])[0]
@@ -254,7 +254,7 @@ class TestSharedLadder:
 
 class TestWeylConvergence:
     def test_report_structure_and_decay(self, small_plan, small_model):
-        rows, _, _ = weyl(small_model, small_plan)
+        rows, _ = weyl(small_model, small_plan)
         sizes, dists, comp_dists, errors = zip(*rows)
         assert sizes == small_plan["ladder"]
         assert all(b <= a + 1e-3 for a, b in zip(errors, errors[1:]))
@@ -262,15 +262,12 @@ class TestWeylConvergence:
         assert all(cd <= d + 1e-12 for cd, d in zip(comp_dists, dists))
 
     def test_closed_form_matches_fock(self):
-        # the Weyl errors of the pure-state plane embeddings, applied on the
+        # the Weyl errors of the pure-state plane embeddings
+        # sqrt(2) (-i z[::-1]), applied on the
         # two-mode Fock space of cutoff 40 to the vacuum and the (1, 0)
         # state, equal the closed form over six decades of |z|; half the
         # pairs lie within 1e-8 relative of each other, where the direct
         # form 1 - cos(theta) e^-x misses by about 1e-10
-        eye, zero = np.eye(2), np.zeros((2, 2))
-        ps = pc.PhaseSpace(4, np.eye(4),
-                           2.0 * np.block([[zero, eye], [-eye, zero]]))
-        kd = pc.kahler_from_covariance(ps)
         rng = np.random.default_rng(5)
         z = rng.standard_normal((2, 40, 2)) + 1j * rng.standard_normal(
             (2, 40, 2))
@@ -281,9 +278,9 @@ class TestWeylConvergence:
         rep = cf.fock_rep(2, 40)
         psis = np.zeros((rep.dim, 2))
         psis[[rep.vacuum_index, rep.index[(1, 0)]], [0, 1]] = 1.0
-        w_seq, w_lim = cf.weyl_apply(rep, [
-            cf.kw_embedding(kd, np.concatenate([v.real, v.imag]))
-            for v in z.reshape(-1, 2)], psis).reshape(2, 40, rep.dim, 2)
+        plane = np.sqrt(2.0) * (-1j * z.reshape(-1, 2)[:, ::-1])
+        w_seq, w_lim = cf.weyl_apply(rep, plane, psis).reshape(
+            2, 40, rep.dim, 2)
         fock = np.linalg.norm(w_seq - w_lim, axis=1).max(axis=1)
         closed = [hg._weyl_errors([a], b)[0] for a, b in zip(*z)]
         assert np.abs(fock - closed).max() <= 1e-13
@@ -300,10 +297,31 @@ class TestWeylConvergence:
         ratios = [b / a for a, b in zip(errs, errs[1:])]
         assert all(0.35 < r < 0.65 for r in ratios)
 
-    def test_fit_is_positive_slope(self, small_plan, small_model):
-        _, lipschitz, r_squared = weyl(small_model, small_plan)
-        assert lipschitz > 0.0
-        assert 0.0 <= r_squared <= 1.0
+    def test_lipschitz_constant_bounds_errors(self, small_plan, small_model):
+        # the target has norm 1/2, so the constant is sqrt(3 + 1/4)
+        rows, lipschitz = weyl(small_model, small_plan)
+        assert lipschitz == pytest.approx(np.sqrt(3.25), rel=1e-14)
+        assert all(e <= lipschitz * cd for _, _, cd, e in rows)
+
+    def test_lipschitz_bound_on_random_pairs(self):
+        # error <= sqrt(3 + |z_lim|^2) |z_n - z_lim| over six decades of
+        # distance
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            z_lim = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            d = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            d *= 10.0 ** rng.uniform(-6, 0, (6, 1))
+            bound = np.sqrt(3.0 + np.linalg.norm(z_lim) ** 2) * np.linalg.norm(
+                d, axis=1)
+            assert np.all(hg._weyl_errors(z_lim + d, z_lim) <= bound)
+
+    def test_lipschitz_constant_is_sharp(self):
+        # a small step d = (0, delta) against z_lim = (0, i r) has
+        # theta = delta r and error -> sqrt(3 + r^2) delta
+        r, delta = 0.5, 1e-4
+        z_lim = np.array([0.0, 1j * r])
+        err, = hg._weyl_errors([z_lim + [0.0, delta]], z_lim)
+        assert 0.9999 < err / (np.sqrt(3.0 + r * r) * delta) <= 1.0
 
 
 class TestLadderValidation:

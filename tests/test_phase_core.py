@@ -36,132 +36,178 @@ class TestPhaseSpace:
             pc.PhaseSpace(3, np.eye(2), np.zeros((2, 2)))
 
 
+def form(ps):
+    return 2.0 * ps.eta + 1j * ps.sigma
+
+
+def assert_factors(k, ps, rtol=1e-12):
+    """K^H K = 2 eta + i sigma to rtol relative to the largest entry."""
+    f = form(ps)
+    assert np.abs(k.conj().T @ k - f).max() <= rtol * max(np.abs(f).max(),
+                                                           1.0)
+
+
 class TestCheckPositivity:
+    """Domination of sigma by the covariance, as positivity of
+    2 eta + i sigma, the condition under which one_particle_structure
+    returns a factor."""
+
     def test_zero_sigma(self):
-        ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
-        rep = pc.check_positivity(ps, 1.0)
-        assert rep.holds and rep.domination_norm == 0.0
+        # any covariance dominates sigma = 0; K is sqrt(2 eta) up to a unitary
+        ps = pc.PhaseSpace(2, np.diag([1.0, 3.0]), np.zeros((2, 2)))
+        k = pc.one_particle_structure(ps)
+        assert np.allclose(np.linalg.norm(k, axis=1) ** 2, [2.0, 6.0],
+                           atol=1e-14)
+        assert_factors(k, ps)
 
     def test_scaled_j(self):
-        ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        assert not pc.check_positivity(ps, 1.0).holds
-        rep = pc.check_positivity(ps, 2.0)
-        assert rep.holds
-        assert abs(rep.domination_norm - 2.0) < 1e-12
+        k = pc.one_particle_structure(pc.PhaseSpace(2, np.eye(2), 2.0 * J))
+        assert k.shape == (1, 2)
+        with pytest.raises(pc.PositivityViolationError):
+            pc.one_particle_structure(
+                pc.PhaseSpace(2, np.eye(2), 2.0 * (1.0 + 1e-6) * J))
 
     def test_degenerate_eta_rejected(self):
-        ps = pc.PhaseSpace(2, np.diag([1.0, 1e-15]), np.zeros((2, 2)))
-        with pytest.raises(pc.DegenerateCovarianceError):
-            pc.check_positivity(ps, 1.0)
+        # sigma does not vanish on the kernel of eta: 2 eta + i sigma has a
+        # negative eigenvalue, however small sigma is
+        ps = pc.PhaseSpace(2, np.diag([1.0, 0.0]), 1e-3 * J)
+        with pytest.raises(pc.PositivityViolationError):
+            pc.one_particle_structure(ps)
+
+    def test_degenerate_eta_with_vanishing_sigma_accepted(self):
+        # a valid quasi-free state: the kernel of eta carries no field
+        ps = pc.PhaseSpace(3, np.diag([1.0, 1.0, 0.0]),
+                           np.pad(2.0 * J, ((0, 1), (0, 1))))
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (1, 3)
+        assert np.abs(k[:, 2]).max() < 1e-15
+        assert_factors(k, ps)
 
 
 class TestKahlerFromCovariance:
+    """The one-particle structure K of a covariance pair: K^H K equals
+    2 eta + i sigma, and its m rows span the range of that form, so
+    m = d / 2 exactly for a pure state."""
+
     def test_pure_kernel_case(self):
+        # sigma = 0: a classical state, no saturated plane, m = d
         ps = pc.PhaseSpace(2, np.eye(2), np.zeros((2, 2)))
-        kd = pc.kahler_from_covariance(ps)
-        assert np.allclose(kd.b, 0.0)
-        assert np.allclose(kd.b_modulus, 0.0)
-        assert np.allclose(kd.j, J)
-        assert not kd.pure and kd.doubled_dim == 2
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (2, 2) and 2 * len(k) - ps.dim == 2
+        assert_factors(k, ps)
 
     def test_saturated_case(self):
+        # 2 (I + i J) = 4 u u^H for u = (1, -i) / sqrt(2), so K is
+        # sqrt(2) (1, i) up to a phase
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
-        assert np.allclose(kd.b, J, atol=1e-12)
-        assert np.allclose(kd.b_modulus, np.eye(2), atol=1e-12)
-        assert np.allclose(kd.j, J, atol=1e-12)
-        assert kd.pure and kd.doubled_dim == 0
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (1, 2)
+        assert abs(abs(k[0, 0]) - np.sqrt(2.0)) < 1e-14
+        assert abs(k[0, 1] - 1j * k[0, 0]) < 1e-14
+        assert_factors(k, ps)
 
     def test_mixed_4d_block_case(self):
-        # eta = diag(1,1,2,2), sigma = blkdiag(2J, 2J): b has eigenvalue
-        # moduli (1, 1, 1/2, 1/2); oracle by direct eigendecomposition
+        # eta = diag(1, 1, 2, 2), sigma = blkdiag(2J, 2J): the form has
+        # eigenvalues (0, 4) on the saturated plane and (2, 6) on the other
         eta = np.diag([1.0, 1.0, 2.0, 2.0])
         sigma = np.zeros((4, 4))
         sigma[:2, :2] = 2.0 * J
         sigma[2:, 2:] = 2.0 * J
         ps = pc.PhaseSpace(4, eta, sigma)
-        kd = pc.kahler_from_covariance(ps)
-        b_expect = 0.5 * np.linalg.solve(eta, sigma)
-        assert np.allclose(kd.b, b_expect, atol=1e-12)
-        mod_eigs = np.sort(np.linalg.eigvals(kd.b_modulus).real)
-        assert np.allclose(mod_eigs, [0.5, 0.5, 1.0, 1.0], atol=1e-10)
-        assert kd.doubled_dim == 2 and not kd.pure
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (3, 4) and 2 * len(k) - ps.dim == 2
+        assert np.allclose(np.sort(np.linalg.norm(k, axis=1) ** 2),
+                           [2.0, 4.0, 6.0], atol=1e-12)
+        assert_factors(k, ps)
 
-    def test_odd_kernel_rejected(self):
+    def test_odd_kernel_accepted(self):
+        # the third direction commutes with everything: one saturated plane
+        # and one classical direction, m = 2
         eta = np.eye(3)
         sigma = np.zeros((3, 3))
         sigma[:2, :2] = 2.0 * J
-        with pytest.raises(pc.KernelParityError):
-            pc.kahler_from_covariance(pc.PhaseSpace(3, eta, sigma))
+        ps = pc.PhaseSpace(3, eta, sigma)
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (2, 3)
+        assert_factors(k, ps)
 
     def test_positivity_violation_rejected(self):
         ps = pc.PhaseSpace(2, np.eye(2), 3.0 * J)
         with pytest.raises(pc.PositivityViolationError):
-            pc.kahler_from_covariance(ps)
+            pc.one_particle_structure(ps)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_invariants_on_random_spaces(self, seed, d):
+        # domination with room to spare: the form is definite, m = d, and
+        # the rows of K are orthogonal with squared norms its eigenvalues
         rng = np.random.default_rng(seed)
         ps = random_phase_space(rng, d, sigma_scale=1.6)
-        kd = pc.kahler_from_covariance(ps)
-        tol = 1e-9
-        # sigma = 2 eta b
-        assert np.abs(ps.sigma - 2.0 * ps.eta @ kd.b).max() < tol
-        # j^2 = -1
-        assert np.abs(kd.j @ kd.j + np.eye(d)).max() < tol
-        # j is eta-orthogonal and -eta j antisymmetric
-        assert np.abs(kd.j.T @ ps.eta @ kd.j - ps.eta).max() < tol
-        m = ps.eta @ kd.j
-        assert np.abs(m + m.T).max() < tol
-        # eta-operator norm of b <= 1
-        w, v = np.linalg.eigh(ps.eta)
-        es = (v * np.sqrt(w)) @ v.T
-        esi = (v / np.sqrt(w)) @ v.T
-        assert np.linalg.norm(es @ kd.b @ esi, 2) <= 1.0 + tol
-        # purity dichotomy
-        lam = np.linalg.eigvals(esi @ (es @ kd.b_modulus @ esi) @ es).real
-        all_one = np.all(np.abs(lam - 1.0) <= 1e-8)
-        assert kd.pure == (kd.doubled_dim == 0) == all_one
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (d, d)
+        assert_factors(k, ps, rtol=1e-13)
+        gram = k @ k.conj().T
+        assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-12 * d
+        assert np.allclose(np.diag(gram).real,
+                           np.linalg.eigvalsh(form(ps)), rtol=1e-12)
 
 
-def kw_inner_product(kd, ps, v, w):
-    """Hermitian inner product eta(v, w) - i eta(v, j w) on the phase space."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (ps.dim,) or w.shape != (ps.dim,):
-        raise pc.ShapeError("vectors must match the phase space dimension")
-    ew = ps.eta @ w
-    return complex(v @ ew - 1j * (v @ (ps.eta @ (kd.j @ w))))
+def complex_structure(k):
+    """For a pure state (K square as a real map R^d -> C^{d/2}), the real
+    j with K j v = i K v."""
+    r = np.vstack([k.real, k.imag])
+    m = len(k)
+    i_mult = np.block([[np.zeros((m, m)), -np.eye(m)],
+                       [np.eye(m), np.zeros((m, m))]])
+    return np.linalg.solve(r, i_mult @ r)
+
+
+def kw_inner_product(k, v, w):
+    """<K v, K w> = 2 eta(v, w) + i sigma(v, w)."""
+    return complex(np.vdot(k @ np.asarray(v, dtype=float),
+                           k @ np.asarray(w, dtype=float)))
 
 
 class TestKwInnerProduct:
     def test_diagonal_real_positive(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
+        k = pc.one_particle_structure(ps)
         v = np.array([0.3, -1.1])
-        val = kw_inner_product(kd, ps, v, v)
+        val = kw_inner_product(k, v, v)
         assert abs(val.imag) < 1e-12
-        assert val.real == pytest.approx(v @ v)
+        assert val.real == pytest.approx(2.0 * v @ v)
 
     def test_basis_pair(self):
         ps = pc.PhaseSpace(2, np.eye(2), 2.0 * J)
-        kd = pc.kahler_from_covariance(ps)
-        val = kw_inner_product(kd, ps, [1.0, 0.0], [0.0, 1.0])
-        assert val == pytest.approx(-1j)
+        k = pc.one_particle_structure(ps)
+        assert kw_inner_product(k, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(
+            2j)
 
     def test_hermitian_and_sesquilinear(self):
+        # a pure state on R^6 in random symplectic coordinates: the inner
+        # product is Hermitian, and complex linear for the complex structure
+        # j that K carries, which is eta-orthogonal with j^2 = -1
         rng = np.random.default_rng(7)
-        ps = random_phase_space(rng, 6, sigma_scale=1.5)
-        kd = pc.kahler_from_covariance(ps)
+        a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
+        z, e = np.zeros((3, 3)), np.eye(3)
+        ps = pc.PhaseSpace(6, a.T @ a,
+                           2.0 * a.T @ np.block([[z, e], [-e, z]]) @ a)
+        k = pc.one_particle_structure(ps)
+        assert k.shape == (3, 6)
+        j = complex_structure(k)
+        assert np.abs(j @ j + np.eye(6)).max() < 1e-9
+        assert np.abs(j.T @ ps.eta @ j - ps.eta).max() < 1e-9 * np.abs(
+            ps.eta).max()
         for _ in range(100):
             v = rng.standard_normal(6)
             w = rng.standard_normal(6)
-            a = kw_inner_product(kd, ps, v, w)
-            b = kw_inner_product(kd, ps, w, v)
-            assert abs(a - np.conj(b)) < 1e-12 * max(1.0, abs(a))
-            c = kw_inner_product(kd, ps, kd.j @ v, w)
-            assert abs(c - (-1j) * a) < 1e-9 * max(1.0, abs(a))
+            x = kw_inner_product(k, v, w)
+            assert abs(x - np.conj(kw_inner_product(k, w, v))) < 1e-12 * max(
+                1.0, abs(x))
+            assert abs(x - (2.0 * v @ ps.eta @ w + 1j * v @ ps.sigma @ w)) \
+                < 1e-10 * max(1.0, abs(x))
+            assert abs(kw_inner_product(k, v, j @ w) - 1j * x) < 1e-9 * max(
+                1.0, abs(x))
 
 
 def projector(g):
@@ -236,13 +282,36 @@ class TestInclusionCheck:
             prev = r
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5).map(lambda k: 2 * k))
-@settings(max_examples=25, deadline=None)
-def test_kahler_roundtrip_property(seed, d):
-    """sigma reconstructed as 2 eta j |b| (polar factors recombine)."""
-    rng = np.random.default_rng(seed)
-    ps = random_phase_space(rng, d, sigma_scale=1.2)
-    kd = pc.kahler_from_covariance(ps)
-    recon = 2.0 * ps.eta @ (kd.j @ kd.b_modulus)
-    scale = max(np.abs(ps.sigma).max(), 1.0)
-    assert np.abs(recon - ps.sigma).max() < 1e-8 * scale
+def canonical_pair(rng, d, saturated):
+    """(PhaseSpace, rank of 2 eta + i sigma) in random coordinates: planes
+    with eta = I and sigma = 2 lam J, lam = 1 (one-dimensional range) or in
+    [0, 0.9] (two-dimensional), plus for odd d a direction with eta = 1 and
+    sigma = 0, or with eta = sigma = 0, which adds nothing to the rank."""
+    half = d // 2
+    lam = np.where(saturated | (rng.uniform(size=half) < 0.5), 1.0,
+                   rng.uniform(0.0, 0.9, half))
+    eta = np.eye(d)
+    sigma = np.zeros((d, d))
+    for i, l in enumerate(lam):
+        sigma[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 2.0 * l * J
+    rank = int(np.sum(np.where(lam == 1.0, 1, 2)))
+    if d % 2:
+        eta[-1, -1] = float(rng.integers(2))
+        rank += int(eta[-1, -1])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = q * rng.uniform(0.5, 2.0, d)
+    return pc.PhaseSpace(d, a.T @ eta @ a, a.T @ sigma @ a), rank
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 7), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kahler_roundtrip_property(seed, d, saturated):
+    """2 eta + i sigma recombines from its factor K to 1e-12 relative, K has
+    one row per dimension of its range, and a saturated pair of even
+    dimension is pure: m = d / 2."""
+    ps, rank = canonical_pair(np.random.default_rng(seed), d, saturated)
+    k = pc.one_particle_structure(ps)
+    assert_factors(k, ps)
+    assert k.shape == (rank, d)
+    if saturated and d % 2 == 0:
+        assert len(k) == d // 2
