@@ -11,8 +11,9 @@ nu_+ = 1/2 + nu.  Without perturbation the eigenpairs are Gegenbauer:
 omega_k = nu_+ + k, phi_k = N_k cos^{nu_+}(x) C_k^{(nu_+)}(sin x); modes are
 sign-fixed so that the boundary amplitude at x = -pi/2 is positive.
 
-All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; bulk test
-functions are sampled densitized (multiplied by sec^2 x) on the model grid.
+All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; a bulk test
+function is kept as time factors times densitized (multiplied by sec^2 x)
+space factors on the model grid, a product that is never formed.
 The boundary dual map and the unique-continuation scan share one boundary
 trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k).  The
 propagator's time integral is an in-module equal-step cumulative Simpson
@@ -249,11 +250,12 @@ def build_model(nu, K, N=512, perturbation=None, support_margin=3):
 
 @dataclass(frozen=True)
 class BulkTestFunction:
-    """Densitized samples of an interior test function on the product of a
-    time grid and the model x grid."""
+    """Interior test function sum_r g_r(t) h_r(x), whose densitized samples on
+    a time grid times the model x grid are t_factors @ x_factors."""
 
     t_grid: np.ndarray
-    values: np.ndarray            # shape (nt, len(model.x))
+    t_factors: np.ndarray         # shape (nt, r)
+    x_factors: np.ndarray         # shape (r, len(model.x))
     support_x: tuple
 
     @property
@@ -288,10 +290,10 @@ def mollifier(u):
 
 def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
               amplitude=1.0, t_modulation=0.0, n_sigma=8.5):
-    """Densitized Gaussian bump source truncated at n_sigma widths.
+    """Densitized Gaussian bump g(t) h(x) truncated at n_sigma widths.
 
     The truncation at n_sigma = 8.5 leaves a relative tail below 1e-15, so
-    the sample array is smooth to double precision.
+    the samples are smooth to double precision.
     """
     t0 = t_center - n_sigma * t_width
     t1 = t_center + n_sigma * t_width
@@ -309,8 +311,9 @@ def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
     prof_x = np.exp(-0.5 * ((xg - x_center) / x_width) ** 2)
     prof_x[np.abs(xg - x_center) > n_sigma * x_width] = 0.0
     prof_t[np.abs(t - t_center) > n_sigma * t_width] = 0.0
-    values = amplitude * np.outer(prof_t, prof_x) / np.cos(xg) ** 2
-    return BulkTestFunction(t, values, (float(x0), float(x1)))
+    h = amplitude * prof_x / np.cos(xg) ** 2
+    return BulkTestFunction(t, prof_t[:, None], h[None, :],
+                            (float(x0), float(x1)))
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +321,7 @@ def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
 
 def _mode_time_series(model, v):
     """vtilde_k(t_j) = integral phi_k(x) vtilde(t_j, x) dx, shape (nt, K)."""
-    return (v.values * model.wq) @ model.mode_values.T
+    return v.t_factors @ ((v.x_factors * model.wq) @ model.mode_values.T)
 
 
 def one_particle_map(model, v):

@@ -371,10 +371,10 @@ def cmd_propagator(cfg, memo):
     perturbation = parse_perturbation(cfg.perturbation)
     if perturbation is not None:
         pu = pu + cos2 * perturbation(xg[2:-2]) * u_in
-    tt = u.t[2:-2]
-    v_plain = np.outer(np.exp(-0.5 * ((tt - 0.0) / sig_t) ** 2),
-                       np.exp(-0.5 * (xg[2:-2] / sig_x) ** 2))
-    resid = float(np.abs(pu - v_plain).max() / np.abs(v_plain).max())
+    # the plain (not densitized) source g(t) h(x), kept as its two factors
+    g = np.exp(-0.5 * ((u.t[2:-2] - 0.0) / sig_t) ** 2)
+    h = np.exp(-0.5 * (xg[2:-2] / sig_x) ** 2)
+    resid = float(np.abs(pu - g[:, None] * h).max() / (g.max() * h.max()))
     checks = [
         _within("retarded_pre_support [propagator_apply]", pre, 1e-14),
         _within("pde_residual [propagator_apply, 4th-order FD]", resid,

@@ -35,9 +35,19 @@ def coo_segal_field(rep, h):
         shape=(rep.dim, rep.dim))
 
 
-def bulk_from_samples(t_grid, values, support_x):
-    """A bulk test function from densitized samples on the model x grid."""
-    return am.BulkTestFunction(t_grid, values, support_x)
+def bulk_from_products(t_grid, products, support_x):
+    """The bulk test function sum_r g_r(t) h_r(x) from its (g_r, h_r) pairs:
+    samples of g_r on t_grid and densitized samples of h_r on the model x
+    grid."""
+    g, h = zip(*products)
+    return am.BulkTestFunction(t_grid, np.column_stack(g), np.vstack(h),
+                               support_x)
+
+
+def bulk_samples(v):
+    """The dense (nt, len(model.x)) densitized samples of a bulk test
+    function, which the package never forms."""
+    return v.t_factors @ v.x_factors
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ def bump_stream(model, o_region, size):
 
 
 def symplectic_form(model, v1, v2):
-    """(v1 | G v2)_{L^2(M, g)} by double quadrature on v1's grid, with the
+    """(v1 | G v2)_{L^2(M, g)} by double quadrature on v1's dense samples,
+    with the
     Pauli-Jordan solution G v2 = (retarded - advanced) v2 in closed form
     from the full time integrals of v2."""
     om = model.omegas
@@ -102,7 +113,7 @@ def symplectic_form(model, v1, v2):
     phase = np.outer(v1.t_grid, om)
     gv2 = ((np.sin(phase) * c_full - np.cos(phase) * s_full) / om) \
         @ model.mode_values
-    inner_x = (v1.values * gv2 * model.wq).sum(axis=1)
+    inner_x = (bulk_samples(v1) * gv2 * model.wq).sum(axis=1)
     return float((inner_x * am._trapezoid_weights(v1.t_grid)).sum())
 
 

@@ -54,8 +54,8 @@ def inclusion(model, plan):
 
 
 def gaussian_pair(model, rng):
-    """Interior bump and its image under the wave operator, sampled on the
-    model grid with analytic t/x derivatives."""
+    """Interior bump and its image under the wave operator, as time and
+    space factors on the model grid with analytic t/x derivatives."""
     tc = rng.uniform(-0.5, 0.5)
     xc = rng.uniform(-0.3, 0.3)
     st = rng.uniform(0.1, 0.2)
@@ -68,14 +68,13 @@ def gaussian_pair(model, rng):
     gx = np.exp(-0.5 * ((x - xc) / sx) ** 2)
     gtt = gt * (((tg - tc) / st ** 2) ** 2 - 1.0 / st ** 2)
     gxx = gx * (((x - xc) / sx ** 2) ** 2 - 1.0 / sx ** 2)
-    w = amp * np.outer(gt, gx)
-    pw = amp * np.cos(x) ** 2 * (np.outer(gtt, gx) - np.outer(gt, gxx)) \
-        + (model.nu ** 2 - 0.25) * w
-    # densitize: the measure of L^2(M, g) is cos^{-2}(x) dt dx
-    cos2 = np.cos(x) ** 2
+    # densitize: the measure of L^2(M, g) is cos^{-2}(x) dt dx, and
+    # P = cos^2 x (d_t^2 - d_x^2) + m^2 makes P w a sum of three products
+    wx = amp * gx / np.cos(x) ** 2
     supx = (xc - ns * sx, xc + ns * sx)
-    return (ro.bulk_from_samples(tg, w / cos2, supx),
-            ro.bulk_from_samples(tg, pw / cos2, supx))
+    return (ro.bulk_from_products(tg, [(gt, wx)], supx),
+            ro.bulk_from_products(tg, [(gtt, amp * gx), (gt, -amp * gxx),
+                                       (gt, model.mass * wx)], supx))
 
 
 def seeded_bump(model, rng):

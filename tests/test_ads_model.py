@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.special import erf
 
 import reference_ops as ro
 from adsholo import ads_model as am
@@ -10,6 +13,18 @@ from adsholo import phase_core as pc
 @pytest.fixture(scope="module")
 def model():
     return am.build_model(0.7, 30, 512)
+
+
+@pytest.fixture(scope="module")
+def model48():
+    # the cutoff of the propagator check
+    return am.build_model(0.7, 48, 512)
+
+
+def propagator_source(model):
+    """The source g(t) h(x) of the propagator check, g(t) = e^{-t^2/2 sigma^2}
+    with sigma = 0.3 on a time step of 0.003."""
+    return am.bulk_bump(model, 0.0, 0.0, 0.3, 0.22, t_step=0.003, n_sigma=6.8)
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +131,8 @@ class TestPerturbedModel:
 
 class TestOneParticleMap:
     def test_zero_function(self, model):
-        v = ro.bulk_from_samples(np.linspace(-1, 1, 11),
-                                 np.zeros((11, 512)), (-1.0, 1.0))
+        v = ro.bulk_from_products(np.linspace(-1, 1, 11),
+                                  [(np.zeros(11), np.zeros(512))], (-1.0, 1.0))
         assert np.abs(am.one_particle_map(model, v)).max() == 0.0
 
     def test_delta_approximant(self, model_half):
@@ -127,7 +142,7 @@ class TestOneParticleMap:
         t = np.arange(-8 * s, 8 * s + 1e-12, s / 4.0)
         gt = np.exp(-0.5 * (t / s) ** 2) / (s * np.sqrt(2 * np.pi))
         gx = np.exp(-0.5 * (model_half.x / s) ** 2) / (s * np.sqrt(2 * np.pi))
-        v = ro.bulk_from_samples(t, np.outer(gt, gx), (-8 * s, 8 * s))
+        v = ro.bulk_from_products(t, [(gt, gx)], (-8 * s, 8 * s))
         c = am.one_particle_map(model_half, v)
         om = model_half.omegas
         phi0 = model_half.eval_modes(np.array([0.0]))[:, 0]
@@ -138,6 +153,23 @@ class TestOneParticleMap:
     def test_margin_enforced(self, model):
         with pytest.raises(am.MarginError):
             am.bulk_bump(model, 0.0, 0.0, 0.2, 0.3)
+
+    def test_source_stays_factored(self, model48):
+        # traced allocation peaks for the propagator check's source, the
+        # source itself included; dense (nt, N) samples, nt = 1361 and
+        # N = 512, would take 5.6 MB each
+        tracemalloc.start()
+        try:
+            v = propagator_source(model48)
+            bump_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            am.one_particle_map(model48, v)
+            map_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.t_factors.shape == (1361, 1) and v.x_factors.shape == (1, 512)
+        assert bump_peak < 0.5e6
+        assert map_peak < 5e6
 
 
 def seeded_bump_pair(model, rng):
@@ -220,8 +252,8 @@ class TestCumulativeSimpson:
 
 class TestPropagator:
     def test_zero_source(self, model):
-        v = ro.bulk_from_samples(np.linspace(0, 1, 21),
-                                 np.zeros((21, 512)), (-1.0, 1.0))
+        v = ro.bulk_from_products(np.linspace(0, 1, 21),
+                                  [(np.zeros(21), np.zeros(512))], (-1.0, 1.0))
         u = am.propagator_apply(model, v, "retarded")
         assert np.abs(u.values).max() == 0.0
 
@@ -247,6 +279,42 @@ class TestPropagator:
         v = am.bulk_bump(model, 0.0, 0.0, 0.2, 0.07)
         with pytest.raises(pc.ShapeError):
             am.propagator_apply(model, v, "sideways")
+
+    @staticmethod
+    def integrator_error(model):
+        """Largest gap between the modes of the retarded solution of the
+        propagator check's source and their closed form, relative to the
+        largest partial integral.
+
+        Mode k of the solution is -Im(e^{-i omega t} I_k(t)) / omega, with
+        I_k(t) = h_k int_{t_0}^t g(s) e^{i omega s} ds and h_k the mode
+        integral of the space factor.  For g(s) = e^{-s^2/2 sigma^2}, the
+        integrand has the primitive
+        sigma sqrt(pi/2) e^{-a^2} erf(s / (sigma sqrt 2) - i a),
+        a = omega sigma / sqrt 2."""
+        sig = 0.3
+        v = propagator_source(model)
+        om = model.omegas
+        h = (v.x_factors[0] * model.wq) @ model.mode_values.T
+        a = om * sig / np.sqrt(2.0)
+        prim = sig * np.sqrt(np.pi / 2.0) * np.exp(-a ** 2) * erf(
+            v.t_grid[:, None] / (sig * np.sqrt(2.0)) - 1j * a)
+        integral = (prim - prim[0]) * h
+        u = am.propagator_apply(model, v, "retarded")
+        modes = (u.values * model.wq) @ model.mode_values.T
+        want = -np.imag(np.exp(-1j * np.outer(u.t, om)) * integral) / om
+        return np.abs(om * (modes - want)).max() / np.abs(integral).max()
+
+    def test_time_integrator_against_erf_closed_form(self, model48):
+        # the Simpson rule is within 6.3e-10 (fourth order in the step)
+        assert self.integrator_error(model48) < 1e-8
+
+    def test_second_order_integrator_fails(self, model48, monkeypatch):
+        # a cumulative trapezoid rule is 2.7e-6 off
+        monkeypatch.setattr(am, "_cumulative_simpson",
+                            lambda y, dx: cumulative_trapezoid(
+                                y, dx=dx, axis=0, initial=0.0))
+        assert self.integrator_error(model48) > 1e-8
 
     def test_against_leapfrog_wave_solver(self):
         # nu = 1/2 is the flat Dirichlet string: an independent second-order

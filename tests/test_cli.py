@@ -532,6 +532,20 @@ class TestPropagatorResidual:
         assert r60 < r48 < 1e-3
 
 
+class TestPerturbedSmoke:
+    @pytest.mark.parametrize("command", ["holo-inclusion", "uc-scan",
+                                         "weyl-convergence"])
+    def test_perturbed_model_passes(self, tmp_path, capsys, command):
+        cfg = fast_cfg(nu=0.7, k=10, n=256, n_bulk=2, ladder="10,20,40,80",
+                       perturbation="0.8:0.1:0.4")
+        assert cli.run(command, cfg, str(tmp_path)) == 0
+        verdicts = [l.rsplit(" ", 1)[1] for l in
+                    capsys.readouterr().out.splitlines() if " (bound " in l]
+        assert verdicts and set(verdicts) == {"PASS"}
+        csv, = tmp_path.glob("*.csv")
+        assert "# perturbation = 0.8:0.1:0.4" in csv.read_text().splitlines()
+
+
 class TestRefusalContract:
     """An experiment that cannot run raises ConfigError or a ShapeError, and
     run reports either with exit code 2 and one error line."""
@@ -563,24 +577,65 @@ REFERENCE = json.loads((Path(__file__).resolve().parent.parent / "bench"
                         / "reference.json").read_text())
 
 
+def key_outputs(out_dir, keys):
+    """The values of reference keys from one artifact directory:
+    "<file>:<column>" reads a CSV column, "<file>:<check>" the value of a
+    report check."""
+    out = {}
+    for key in keys:
+        name, item = key.split(":")
+        lines = [l for l in (out_dir / name).read_text().splitlines()
+                 if not l.startswith("#")]
+        if name.endswith(".csv"):
+            i = lines[0].split(",").index(item)
+            out[key] = [float(l.split(",")[i]) for l in lines[1:]]
+        else:
+            out[key] = [float(l.split(": ")[1].split()[0]) for l in lines
+                        if l.startswith(item + " ")]
+    return out
+
+
+# the config texts of the benchmark's workloads, by invocation label
+SHORT_K20 = ("[model]\nk = 20\nn = 1024\n[regions]\no = -:-1:1;+:-1:1\n"
+             "[experiment]\nladder = 20,40,80,160,320\n")
+WORKLOAD_TEXTS = {
+    "check_all": {"0:check-all": ""},
+    "k_sweep": {"0:holo-inclusion": SHORT_K20},
+    "fock_identities": {"0:ccr-verify": "", "1:kw-verify": ""},
+}
+
+
 class TestReferenceValues:
-    """The check values of ccr-verify and kw-verify stay within the stored
-    tolerance of the benchmark's reference, with the same number of rows."""
+    """The key outputs of the benchmark's check_all and fock_identities
+    invocations, and of its first k_sweep invocation (K = 20, short window),
+    stay within the stored tolerance of the benchmark's reference, with the
+    same number of rows; the key names come from the reference itself."""
+
+    @staticmethod
+    def assert_matches_reference(tmp_path, workload, seed):
+        want = REFERENCE["workloads"][workload][str(seed)]
+        for label, text in WORKLOAD_TEXTS[workload].items():
+            command = label.split(":", 1)[1]
+            cfg = cli.parse_config_text(f"{text}[experiment]\nseed = {seed}\n")
+            out_dir = tmp_path / label.replace(":", "_")
+            assert cli.run(command, cfg, str(out_dir)) == 0
+            got = key_outputs(out_dir, want[label])
+            for key, ref in want[label].items():
+                assert len(got[key]) == len(ref), key
+                gap = np.abs(np.subtract(got[key], ref)).max()
+                assert gap <= REFERENCE["atol"], (key, gap)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_verify_values_match_reference(self, tmp_path, seed):
-        want = REFERENCE["workloads"]["fock_identities"][str(seed)]
-        cfg = dataclasses.replace(cli.RunConfig(), seed=seed)
-        for label, want_values in want.items():
-            command = label.split(":", 1)[1]
-            stem = command.replace("-", "_")
-            assert cli.run(command, cfg, str(tmp_path)) == 0
-            lines = [l for l in (tmp_path / f"{stem}.csv").read_text()
-                     .splitlines() if not l.startswith("#")]
-            values = [float(l.split(",")[1]) for l in lines[1:]]
-            ref = want_values[f"{stem}.csv:value"]
-            assert len(values) == len(ref)
-            assert np.abs(np.subtract(values, ref)).max() <= REFERENCE["atol"]
+        self.assert_matches_reference(tmp_path, "fock_identities", seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_check_all_values_match_reference(self, tmp_path, seed):
+        self.assert_matches_reference(tmp_path, "check_all", seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_short_window_inclusion_matches_reference(self, tmp_path, seed):
+        self.assert_matches_reference(tmp_path, "k_sweep", seed)
 
 
 def scaled(fn):
