@@ -20,6 +20,10 @@ propagator's time integral is an in-module equal-step cumulative Simpson
 rule (Cartwright 2017): SciPy's cumulative_simpson on equal steps, with the
 same floating-point operations in the same order.
 
+uc_scan folds the boundary samples block by block into the triangular
+factor of a running QR decomposition, so its memory does not grow with the
+sampling window.
+
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
 finite-difference oracle fd_mode_frequencies.  Results are plain arrays and
@@ -449,6 +453,11 @@ def dual_boundary_matrix(model, component, t_grid, profiles):
     return amp[:, None] * fhat
 
 
+# sample rows per QR fold in uc_scan: 2048 x 160 doubles (k_eff = 80) is
+# 2.6 MB
+_UC_BLOCK = 2048
+
+
 def uc_scan(model, o_intervals, k_eff, t_lattice):
     """Smallest singular value of the truncated solution -> boundary-sample
     map; 0 when no lattice time falls inside the intervals.
@@ -456,28 +465,47 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
     o_intervals is a list of (component, t0, t1); samples are the lattice
     times falling inside the intervals, weighted by sqrt of the lattice
     step so nested regions give nested row sets.
+
+    The sample rows are never stacked: each block of at most _UC_BLOCK rows
+    is written below the triangular factor R of a running QR decomposition
+    and folded into it, and R has the singular values of all the rows
+    folded so far (Golub & Van Loan, Sec. 5.2).  Memory is
+    O((_UC_BLOCK + k_eff) * k_eff) however long the window is.
     """
     if k_eff < 1 or k_eff > model.K:
         raise ShapeError(f"need 1 <= k_eff <= K, got {k_eff}")
     t_lattice = np.asarray(t_lattice, dtype=float)
     dt = float(t_lattice[1] - t_lattice[0]) if t_lattice.size > 1 else 1.0
+    om = model.omegas[:k_eff]
 
-    rows = []
+    # the running R in the top rows, the next block of samples below it
+    buf = np.empty((2 * k_eff + _UC_BLOCK, 2 * k_eff))
+    n_r = 0
+    n_rows = 0
     for component, t0, t1 in o_intervals:
         ts = t_lattice[(t_lattice >= t0) & (t_lattice <= t1)]
-        amp, phase = _trace_factor(model, component, ts, k_eff)
-        if ts.size:
-            # the real trace map on (Re c, Im c): cos blocks and sin blocks
-            rows.append(np.sqrt(dt) * np.hstack([phase.real.T * amp,
-                                                 -phase.imag.T * amp]))
+        amp = model.betas(component)[:k_eff] / np.sqrt(2.0 * om) * np.sqrt(dt)
+        for start in range(0, ts.size, _UC_BLOCK):
+            tb = ts[start:start + _UC_BLOCK]
+            end = n_r + tb.size
+            # the real trace map on (Re c, Im c): a cos block, a sin block
+            cos, sin = buf[n_r:end, :k_eff], buf[n_r:end, k_eff:]
+            np.multiply.outer(tb, om, out=cos)
+            np.sin(cos, out=sin)
+            np.cos(cos, out=cos)
+            cos *= amp
+            sin *= amp
+            r = np.linalg.qr(buf[:end], mode="r")
+            n_r = r.shape[0]
+            buf[:n_r] = r
+        n_rows += ts.size
 
-    if not rows:
+    if not n_rows:
         return 0.0
-    a = np.vstack(rows)
-    if a.shape[0] < 2 * k_eff:
+    if n_rows < 2 * k_eff:
         raise UnderdeterminedError(
-            f"{a.shape[0]} samples for {2 * k_eff} solution dimensions")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+            f"{n_rows} samples for {2 * k_eff} solution dimensions")
+    return float(np.linalg.svd(buf[:n_r], compute_uv=False)[-1])
 
 
 def export_mode_table(model):

@@ -132,3 +132,23 @@ def per_bump_dual_map(model, f):
     wt = am._trapezoid_weights(f.t_grid)
     fhat = (np.exp(-1j * np.outer(om, f.t_grid)) * (f.samples * wt)).sum(axis=1)
     return model.betas(f.component) / np.sqrt(2.0 * om) * fhat
+
+
+def uc_dense_sigma_min(model, o_intervals, k_eff, t_lattice):
+    """(sigma_min, sigma_max) of the boundary trace-sampling map that
+    ads_model.uc_scan measures, from the whole stacked sample matrix and one
+    SVD: the dense construction that the blockwise QR fold replaced.  (0, 0)
+    when no lattice time falls inside the intervals."""
+    t_lattice = np.asarray(t_lattice, dtype=float)
+    dt = float(t_lattice[1] - t_lattice[0]) if t_lattice.size > 1 else 1.0
+    rows = []
+    for component, t0, t1 in o_intervals:
+        ts = t_lattice[(t_lattice >= t0) & (t_lattice <= t1)]
+        amp, phase = am._trace_factor(model, component, ts, k_eff)
+        if ts.size:
+            rows.append(np.sqrt(dt) * np.hstack([phase.real.T * amp,
+                                                 -phase.imag.T * amp]))
+    if not rows:
+        return 0.0, 0.0
+    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return float(s[-1]), float(s[0])

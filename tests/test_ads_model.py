@@ -7,6 +7,7 @@ from scipy.special import erf
 
 import reference_ops as ro
 from adsholo import ads_model as am
+from adsholo import holography as hg
 from adsholo import phase_core as pc
 
 
@@ -25,6 +26,12 @@ def propagator_source(model):
     """The source g(t) h(x) of the propagator check, g(t) = e^{-t^2/2 sigma^2}
     with sigma = 0.3 on a time step of 0.003."""
     return am.bulk_bump(model, 0.0, 0.0, 0.3, 0.22, t_step=0.003, n_sigma=6.8)
+
+
+@pytest.fixture(scope="module")
+def model80():
+    # the largest cutoff of the k_sweep benchmark
+    return am.build_model(0.7, 80, 1024)
 
 
 @pytest.fixture(scope="module")
@@ -442,7 +449,69 @@ class TestBoundaryMaps:
             assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-6)
 
 
+SHORT_WINDOW = (("-", -1.0, 1.0), ("+", -1.0, 1.0))
+LONG_WINDOW = (("-", -3.3, 3.3), ("+", -3.3, 3.3))
+
+
+def uc_lattice(model, t_max=3.3):
+    """The lattice of holography._uc_reference on [-t_max, t_max]."""
+    step = min(0.01, 0.15 / model.max_omega())
+    return -t_max + np.arange(int(np.ceil(2 * t_max / step)) + 1) * step
+
+
+def uc_gap(model, o_intervals, k_eff, lattice):
+    """|uc_scan - dense SVD| over the dense sigma_max."""
+    lo, hi = ro.uc_dense_sigma_min(model, o_intervals, k_eff, lattice)
+    return abs(am.uc_scan(model, o_intervals, k_eff, lattice) - lo) / hi
+
+
+class DropCarriedR:
+    """np.linalg.qr for a faulty fold that forgets the R it returned last:
+    each call factors only the rows below it."""
+
+    def __init__(self):
+        self.qr = np.linalg.qr
+        self.carried = 0
+
+    def __call__(self, a, mode):
+        r = self.qr(a[self.carried:], mode=mode)
+        self.carried = r.shape[0]
+        return r
+
+
 class TestUcScan:
+    @pytest.mark.parametrize("window", [SHORT_WINDOW[:1], SHORT_WINDOW,
+                                        LONG_WINDOW[1:], LONG_WINDOW])
+    @pytest.mark.parametrize("k_eff", [1, 4, 30])
+    def test_fold_matches_dense_svd(self, model, window, k_eff):
+        assert uc_gap(model, window, k_eff, uc_lattice(model)) < 1e-13
+
+    def test_fold_matches_dense_svd_at_k80(self, model80):
+        # two blocks per interval: 3,529 lattice times in [-3.3, 3.3]
+        assert uc_gap(model80, LONG_WINDOW, 80, uc_lattice(model80)) < 1e-13
+
+    def test_fold_matches_dense_svd_over_three_blocks(self, model):
+        lattice = np.linspace(-3.0, 3.0, 5000)
+        assert 2 * am._UC_BLOCK < lattice.size <= 3 * am._UC_BLOCK
+        assert uc_gap(model, [("-", -3.0, 3.0)], 4, lattice) < 1e-13
+
+    def test_fold_that_drops_carried_r_fails(self, model, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", DropCarriedR())
+        lattice = np.linspace(-3.0, 3.0, 5000)
+        assert uc_gap(model, [("-", -3.0, 3.0)], 4, lattice) > 1e-13
+
+    def test_reference_peak_memory_stays_blocked(self, model80):
+        # traced allocation peak of sigma_min_ref at K = 80 on the default
+        # long window; the stacked 7,058 x 160 sample matrix and its copies
+        # peaked at 22.6 MB
+        tracemalloc.start()
+        try:
+            hg._uc_reference(model80, LONG_WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_empty_region(self, model):
         assert am.uc_scan(model, [], 4, np.linspace(-1, 1, 100)) == 0.0
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import json
@@ -398,6 +399,27 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_scipy_linalg_only_for_eigh_tridiagonal(self):
+        # SciPy links its own OpenBLAS, with a thread pool apart from
+        # NumPy's, and the two pools compete for the cores.  On 2 cores at
+        # 2 BLAS threads, a NumPy 160 x 1280 SVD that takes 25 ms alone took
+        # 46-97 ms right after one SciPy dtpqrt (a QR fold step).
+        # eigh_tridiagonal is scalar LAPACK and starts no BLAS-3 work; dense
+        # linear algebra goes through numpy.linalg.
+        names = set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    if node.module.startswith("scipy.linalg"):
+                        names |= {a.name for a in node.names}
+                    elif node.module == "scipy":
+                        names |= {f"scipy.{a.name}" for a in node.names
+                                  if a.name == "linalg"}
+                elif isinstance(node, ast.Import):
+                    names |= {a.name for a in node.names
+                              if a.name.startswith("scipy.linalg")}
+        assert names == {"eigh_tridiagonal"}
 
 
 class TestRunDispatch:
