@@ -15,14 +15,16 @@ All L^2(M, g) pairings carry the measure cos^{-2}(x) dt dx; a bulk test
 function is kept as time factors times densitized (multiplied by sec^2 x)
 space factors on the model grid, a product that is never formed.
 The boundary dual map and the unique-continuation scan share one boundary
-trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k).  The
-propagator's time integral is an in-module equal-step cumulative Simpson
-rule (Cartwright 2017): SciPy's cumulative_simpson on equal steps, with the
-same floating-point operations in the same order.
+trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k): both read the
+frequencies and amplitudes from _trace_factor.  The propagator's time
+integral is an in-module equal-step cumulative Simpson rule (Cartwright
+2017): SciPy's cumulative_simpson on equal steps, with the same
+floating-point operations in the same order.
 
-uc_scan folds the boundary samples block by block into the triangular
-factor of a running QR decomposition, so its memory does not grow with the
-sampling window.
+uc_scan samples that trace on one lattice t_start + j step, which it builds
+itself up to the last interval end, and folds the samples block by block
+into the triangular factor of a running QR decomposition, so its memory
+does not grow with the sampling window.
 
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
@@ -92,10 +94,6 @@ class AdsStripModel:
 
     def max_omega(self):
         return float(self.omegas[-1])
-
-    def default_t_step(self):
-        # uniform time quadrature resolving the highest retained frequency
-        return 0.2 / self.max_omega()
 
 
 def _gegenbauer_norm_consts(lam, K):
@@ -305,7 +303,8 @@ def bulk_bump(model, t_center, x_center, t_width, x_width, t_step=None,
     x1 = x_center + n_sigma * x_width
     _check_margin(model, x0, x1)
     if t_step is None:
-        t_step = min(model.default_t_step(), t_width / 6.0)
+        # uniform time quadrature resolving the highest retained frequency
+        t_step = min(0.2 / model.max_omega(), t_width / 6.0)
     nt = int(np.ceil((t1 - t0) / t_step)) + 1
     t = t0 + np.arange(nt) * t_step
     xg = model.x
@@ -349,13 +348,6 @@ def extract_one_particle(v):
     return v[:k] + 1j * v[k:]
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    t: np.ndarray
-    x: np.ndarray
-    values: np.ndarray
-
-
 def _aligned_indices(v, t_out):
     dt = v.t_step
     idx = np.round((t_out - v.t_grid[0]) / dt)
@@ -391,8 +383,8 @@ def propagator_apply(model, v, which, t_out=None, x_out=None):
     """Retarded or advanced Dirichlet solution of P u = v, mode by mode.
 
     Output times must lie on the (extension of the) source time lattice;
-    they default to the source grid itself.  Values are returned on the
-    model x grid unless x_out is given.
+    they default to the source grid itself.  Returns the values, shape
+    (len(t_out), len(x)), on the model x grid unless x_out is given.
     """
     if which not in ("retarded", "advanced"):
         raise ShapeError(f"unknown propagator kind {which!r}")
@@ -423,18 +415,17 @@ def propagator_apply(model, v, which, t_out=None, x_out=None):
         u_modes = (np.cos(phase) * s - np.sin(phase) * c) / om
 
     if x_out is None:
-        return GridFunction(t_out, model.x, u_modes @ model.mode_values)
-    x_out = np.asarray(x_out, dtype=float)
-    return GridFunction(t_out, x_out, u_modes @ model.eval_modes(x_out))
+        return u_modes @ model.mode_values
+    return u_modes @ model.eval_modes(np.asarray(x_out, dtype=float))
 
 
-def _trace_factor(model, component, t_grid, k=None):
-    """The boundary trace of the first k modes (all by default) on one
-    component: the amplitudes beta_k / sqrt(2 omega_k), shape (k,), and the
-    phase matrix e^{-i omega_k t_j}, shape (k, len(t_grid))."""
+def _trace_factor(model, component, k):
+    """The boundary trace of the first k modes on one component, whose value
+    at time t is Re sum_k amp_k e^{-i om_k t} c_k: (om, amp) with the
+    frequencies om_k and the amplitudes amp_k = beta_k / sqrt(2 omega_k),
+    each shape (k,)."""
     om = model.omegas[:k]
-    amp = model.betas(component)[:k] / np.sqrt(2.0 * om)
-    return amp, np.exp(-1j * np.outer(om, t_grid))
+    return om, model.betas(component)[:k] / np.sqrt(2.0 * om)
 
 
 def dual_boundary_matrix(model, component, t_grid, profiles):
@@ -445,7 +436,8 @@ def dual_boundary_matrix(model, component, t_grid, profiles):
     e^{-i omega t} convention of one_particle_map: the smeared trace of the
     solution with coefficients c is Re sum_k d_k c_k.  Each column is reduced
     on its own, so it does not depend on the other profiles."""
-    amp, phase = _trace_factor(model, component, t_grid)
+    om, amp = _trace_factor(model, component, model.K)
+    phase = np.exp(-1j * np.outer(om, t_grid))
     wt = _trapezoid_weights(t_grid)
     fhat = np.empty((model.K, len(profiles)), dtype=complex)
     for i, p in enumerate(profiles):
@@ -458,13 +450,15 @@ def dual_boundary_matrix(model, component, t_grid, profiles):
 _UC_BLOCK = 2048
 
 
-def uc_scan(model, o_intervals, k_eff, t_lattice):
-    """Smallest singular value of the truncated solution -> boundary-sample
-    map; 0 when no lattice time falls inside the intervals.
+def uc_scan(model, o_intervals, k_eff, t_start, step):
+    """Smallest singular value of the map from the first k_eff modes to their
+    boundary samples; 0 when no lattice time falls inside the intervals.
 
-    o_intervals is a list of (component, t0, t1); samples are the lattice
-    times falling inside the intervals, weighted by sqrt of the lattice
-    step so nested regions give nested row sets.
+    o_intervals is a list of (component, t0, t1).  The lattice is
+    t_start + j step, j = 0, 1, ..., up to the last interval end.  Each of
+    its times inside an interval gives one row of the _trace_factor trace
+    on (Re c, Im c), weighted by sqrt(step), so nested regions on one
+    lattice give nested row sets.
 
     The sample rows are never stacked: each block of at most _UC_BLOCK rows
     is written below the triangular factor R of a running QR decomposition
@@ -474,9 +468,9 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
     """
     if k_eff < 1 or k_eff > model.K:
         raise ShapeError(f"need 1 <= k_eff <= K, got {k_eff}")
-    t_lattice = np.asarray(t_lattice, dtype=float)
-    dt = float(t_lattice[1] - t_lattice[0]) if t_lattice.size > 1 else 1.0
-    om = model.omegas[:k_eff]
+    t_end = max((t1 for _, _, t1 in o_intervals), default=t_start)
+    t_lattice = t_start + np.arange(
+        int(np.ceil((t_end - t_start) / step)) + 1) * step
 
     # the running R in the top rows, the next block of samples below it
     buf = np.empty((2 * k_eff + _UC_BLOCK, 2 * k_eff))
@@ -484,7 +478,8 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
     n_rows = 0
     for component, t0, t1 in o_intervals:
         ts = t_lattice[(t_lattice >= t0) & (t_lattice <= t1)]
-        amp = model.betas(component)[:k_eff] / np.sqrt(2.0 * om) * np.sqrt(dt)
+        om, amp = _trace_factor(model, component, k_eff)
+        amp = amp * np.sqrt(step)
         for start in range(0, ts.size, _UC_BLOCK):
             tb = ts[start:start + _UC_BLOCK]
             end = n_r + tb.size
@@ -506,9 +501,3 @@ def uc_scan(model, o_intervals, k_eff, t_lattice):
         raise UnderdeterminedError(
             f"{n_rows} samples for {2 * k_eff} solution dimensions")
     return float(np.linalg.svd(buf[:n_r], compute_uv=False)[-1])
-
-
-def export_mode_table(model):
-    """Rows (k, omega, beta_minus, beta_plus) for CSV export."""
-    return list(zip(range(model.K), model.omegas, model.beta_minus,
-                    model.beta_plus))

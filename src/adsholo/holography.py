@@ -131,19 +131,6 @@ def ladder_pass(model, o_region, v_region, ladder, n_bulk, seed):
     return bases, w
 
 
-def _uc_reference(model, o_region):
-    """sigma_min of the trace-sampling map over O, at the full cutoff."""
-    lat_step = min(0.01, 0.15 / model.max_omega())
-    t_lo = min(t0 for _, t0, _ in o_region)
-    t_hi = max(t1 for _, _, t1 in o_region)
-    n = int(np.ceil((t_hi - t_lo) / lat_step)) + 1
-    lattice = t_lo + np.arange(n) * lat_step
-    try:
-        return am.uc_scan(model, o_region, model.K, lattice)
-    except am.UnderdeterminedError:
-        return float("nan")
-
-
 @dataclass(frozen=True)
 class InclusionTable:
     rungs: tuple        # (dict_size, max_residual, mean_residual, rank)
@@ -154,8 +141,11 @@ def run_inclusion(model, o_region, ladder, bases, w):
     """Residual ladder of the bulk vectors w against the rung bases; a rung's
     rank is the numerical rank of its boundary span.
 
-    An empty O gives residual 1 for every nonzero bulk vector, an empty V
-    residual 0; sigma_min_ref is 0 for either.
+    sigma_min_ref is the uc_scan of O at the full cutoff, on a lattice from
+    the earliest interval start whose step resolves the top frequency; nan
+    when O holds too few lattice times.  An empty O gives residual 1 for
+    every nonzero bulk vector, an empty V residual 0; sigma_min_ref is 0
+    for either.
     """
     rungs = []
     for size, u in zip(ladder, bases):
@@ -163,9 +153,15 @@ def run_inclusion(model, o_region, ladder, bases, w):
         rungs.append((size, float(r.max(initial=0.0)),
                       float(r.mean()) if r.size else 0.0, u.shape[1]))
 
-    vacuous = not o_region or not w.shape[1]
-    return InclusionTable(tuple(rungs), 0.0 if vacuous
-                          else _uc_reference(model, o_region))
+    sigma_min_ref = 0.0
+    if o_region and w.shape[1]:
+        try:
+            sigma_min_ref = am.uc_scan(
+                model, o_region, model.K, min(t0 for _, t0, _ in o_region),
+                min(0.01, 0.15 / model.max_omega()))
+        except am.UnderdeterminedError:
+            sigma_min_ref = float("nan")
+    return InclusionTable(tuple(rungs), sigma_min_ref)
 
 
 def _compress_directions(c_target, c_approx):
@@ -250,13 +246,3 @@ def run_weyl_convergence(ladder, bases, w):
     errors = _weyl_errors(z_seq, z_lim).tolist()
     lipschitz = float(np.sqrt(3.0 + np.linalg.norm(z_lim) ** 2))
     return list(zip(ladder, distances, comp_dist, errors)), lipschitz
-
-
-def nested_uc_family(model, t_halves):
-    """sigma_min of uc_scan over the nested windows [-t, t] on both boundary
-    components, four modes, sampled on a lattice of step 0.01."""
-    t_max = max(t_halves)
-    n = int(np.ceil(2 * t_max / 0.01)) + 1
-    lattice = -t_max + np.arange(n) * 0.01
-    return [am.uc_scan(model, [("-", -th, th), ("+", -th, th)], 4, lattice)
-            for th in t_halves]

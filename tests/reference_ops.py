@@ -106,7 +106,7 @@ def symplectic_form(model, v1, v2):
     Pauli-Jordan solution G v2 = (retarded - advanced) v2 in closed form
     from the full time integrals of v2."""
     om = model.omegas
-    vt = am._mode_time_series(model, v2) \
+    vt = ((bulk_samples(v2) * model.wq) @ model.mode_values.T) \
         * am._trapezoid_weights(v2.t_grid)[:, None]
     c_full = (np.cos(np.outer(v2.t_grid, om)) * vt).sum(axis=0)
     s_full = (np.sin(np.outer(v2.t_grid, om)) * vt).sum(axis=0)
@@ -117,11 +117,19 @@ def symplectic_form(model, v1, v2):
     return float((inner_x * am._trapezoid_weights(v1.t_grid)).sum())
 
 
+def trace_rows(model, component, t_grid, k):
+    """The complex boundary trace map of the first k modes on one component,
+    beta_k e^{-i omega_k t_j} / sqrt(2 omega_k), shape (len(t_grid), k),
+    from model.omegas and model.betas alone."""
+    om = model.omegas[:k]
+    return (np.exp(-1j * np.outer(t_grid, om))
+            * (model.betas(component)[:k] / np.sqrt(2.0 * om)))
+
+
 def boundary_trace(model, c, component, t_grid):
     """Rescaled boundary values Re sum_k beta_k e^{-i omega_k t}
     c_k / sqrt(2 omega_k) of the solution with mode coefficients c."""
-    amp, phase = am._trace_factor(model, component, t_grid)
-    return np.real(phase.T @ (amp * c))
+    return np.real(trace_rows(model, component, t_grid, len(c)) @ c)
 
 
 def per_bump_dual_map(model, f):
@@ -134,20 +142,21 @@ def per_bump_dual_map(model, f):
     return model.betas(f.component) / np.sqrt(2.0 * om) * fhat
 
 
-def uc_dense_sigma_min(model, o_intervals, k_eff, t_lattice):
+def uc_dense_sigma_min(model, o_intervals, k_eff, t_start, step):
     """(sigma_min, sigma_max) of the boundary trace-sampling map that
-    ads_model.uc_scan measures, from the whole stacked sample matrix and one
-    SVD: the dense construction that the blockwise QR fold replaced.  (0, 0)
-    when no lattice time falls inside the intervals."""
-    t_lattice = np.asarray(t_lattice, dtype=float)
-    dt = float(t_lattice[1] - t_lattice[0]) if t_lattice.size > 1 else 1.0
+    ads_model.uc_scan measures on the lattice t_start + j step, from the
+    whole stacked sample matrix and one SVD: the dense construction that the
+    blockwise QR fold replaced.  (0, 0) when no lattice time falls inside
+    the intervals."""
+    t_end = max(t1 for _, _, t1 in o_intervals)
+    t_lattice = t_start + step * np.arange(
+        int(np.ceil((t_end - t_start) / step)) + 1)
     rows = []
     for component, t0, t1 in o_intervals:
         ts = t_lattice[(t_lattice >= t0) & (t_lattice <= t1)]
-        amp, phase = am._trace_factor(model, component, ts, k_eff)
+        tr = trace_rows(model, component, ts, k_eff)
         if ts.size:
-            rows.append(np.sqrt(dt) * np.hstack([phase.real.T * amp,
-                                                 -phase.imag.T * amp]))
+            rows.append(np.sqrt(step) * np.hstack([tr.real, -tr.imag]))
     if not rows:
         return 0.0, 0.0
     s = np.linalg.svd(np.vstack(rows), compute_uv=False)

@@ -262,19 +262,19 @@ class TestPropagator:
         v = ro.bulk_from_products(np.linspace(0, 1, 21),
                                   [(np.zeros(21), np.zeros(512))], (-1.0, 1.0))
         u = am.propagator_apply(model, v, "retarded")
-        assert np.abs(u.values).max() == 0.0
+        assert np.abs(u).max() == 0.0
 
     def test_retarded_vanishes_before_support(self, model):
         v = am.bulk_bump(model, 0.0, 0.2, 0.15, 0.07)
         t_pre = v.t_grid[0] - v.t_step * np.arange(1, 8)
         u = am.propagator_apply(model, v, "retarded", t_out=t_pre)
-        assert np.abs(u.values).max() == 0.0
+        assert np.abs(u).max() == 0.0
 
     def test_advanced_vanishes_after_support(self, model):
         v = am.bulk_bump(model, 0.0, 0.2, 0.15, 0.07)
         t_post = v.t_grid[-1] + v.t_step * np.arange(1, 8)
         u = am.propagator_apply(model, v, "advanced", t_out=t_post)
-        assert np.abs(u.values).max() == 0.0
+        assert np.abs(u).max() == 0.0
 
     def test_misaligned_output_times_rejected(self, model):
         v = am.bulk_bump(model, 0.0, 0.0, 0.2, 0.07)
@@ -308,8 +308,8 @@ class TestPropagator:
             v.t_grid[:, None] / (sig * np.sqrt(2.0)) - 1j * a)
         integral = (prim - prim[0]) * h
         u = am.propagator_apply(model, v, "retarded")
-        modes = (u.values * model.wq) @ model.mode_values.T
-        want = -np.imag(np.exp(-1j * np.outer(u.t, om)) * integral) / om
+        modes = (u * model.wq) @ model.mode_values.T
+        want = -np.imag(np.exp(-1j * np.outer(v.t_grid, om)) * integral) / om
         return np.abs(om * (modes - want)).max() / np.abs(integral).max()
 
     def test_time_integrator_against_erf_closed_form(self, model48):
@@ -359,7 +359,7 @@ class TestPropagator:
         u_modal = am.propagator_apply(m, v, "retarded",
                                       t_out=np.array([t_out]), x_out=xg)
         # leapfrog is second order; compare in relative L2 on the slice
-        diff = u_modal.values[0] - u_cur
+        diff = u_modal[0] - u_cur
         rel = np.linalg.norm(diff) / np.linalg.norm(u_cur)
         assert rel < 1e-3
 
@@ -453,16 +453,27 @@ SHORT_WINDOW = (("-", -1.0, 1.0), ("+", -1.0, 1.0))
 LONG_WINDOW = (("-", -3.3, 3.3), ("+", -3.3, 3.3))
 
 
-def uc_lattice(model, t_max=3.3):
-    """The lattice of holography._uc_reference on [-t_max, t_max]."""
-    step = min(0.01, 0.15 / model.max_omega())
-    return -t_max + np.arange(int(np.ceil(2 * t_max / step)) + 1) * step
+def uc_lattice(model):
+    """(t_start, step) of the sigma_min_ref lattice on [-3.3, 3.3]."""
+    return -3.3, min(0.01, 0.15 / model.max_omega())
 
 
-def uc_gap(model, o_intervals, k_eff, lattice):
+def uc_gap(model, o_intervals, k_eff, t_start, step):
     """|uc_scan - dense SVD| over the dense sigma_max."""
-    lo, hi = ro.uc_dense_sigma_min(model, o_intervals, k_eff, lattice)
-    return abs(am.uc_scan(model, o_intervals, k_eff, lattice) - lo) / hi
+    lo, hi = ro.uc_dense_sigma_min(model, o_intervals, k_eff, t_start, step)
+    return abs(am.uc_scan(model, o_intervals, k_eff, t_start, step) - lo) / hi
+
+
+def amplitudes_scaled(trace_factor):
+    """The boundary trace with its amplitudes scaled by 1.3."""
+    def scaled(*args):
+        om, amp = trace_factor(*args)
+        return om, 1.3 * amp
+    return scaled
+
+
+# three QR blocks: 5,000 lattice times on [-3, 3]
+THREE_BLOCKS = (-3.0, 6.0 / 4999)
 
 
 class DropCarriedR:
@@ -484,50 +495,55 @@ class TestUcScan:
                                         LONG_WINDOW[1:], LONG_WINDOW])
     @pytest.mark.parametrize("k_eff", [1, 4, 30])
     def test_fold_matches_dense_svd(self, model, window, k_eff):
-        assert uc_gap(model, window, k_eff, uc_lattice(model)) < 1e-13
+        assert uc_gap(model, window, k_eff, *uc_lattice(model)) < 1e-13
 
     def test_fold_matches_dense_svd_at_k80(self, model80):
         # two blocks per interval: 3,529 lattice times in [-3.3, 3.3]
-        assert uc_gap(model80, LONG_WINDOW, 80, uc_lattice(model80)) < 1e-13
+        assert uc_gap(model80, LONG_WINDOW, 80, *uc_lattice(model80)) < 1e-13
 
     def test_fold_matches_dense_svd_over_three_blocks(self, model):
-        lattice = np.linspace(-3.0, 3.0, 5000)
-        assert 2 * am._UC_BLOCK < lattice.size <= 3 * am._UC_BLOCK
-        assert uc_gap(model, [("-", -3.0, 3.0)], 4, lattice) < 1e-13
+        assert 2 * am._UC_BLOCK < 5000 <= 3 * am._UC_BLOCK
+        assert uc_gap(model, [("-", -3.0, 3.0)], 4, *THREE_BLOCKS) < 1e-13
 
     def test_fold_that_drops_carried_r_fails(self, model, monkeypatch):
         monkeypatch.setattr(np.linalg, "qr", DropCarriedR())
-        lattice = np.linspace(-3.0, 3.0, 5000)
-        assert uc_gap(model, [("-", -3.0, 3.0)], 4, lattice) > 1e-13
+        assert uc_gap(model, [("-", -3.0, 3.0)], 4, *THREE_BLOCKS) > 1e-13
+
+    def test_scaled_trace_amplitudes_fail(self, model, monkeypatch):
+        # the dense reference builds its trace from model.omegas and
+        # model.betas, so a fault in the shared _trace_factor shows
+        monkeypatch.setattr(am, "_trace_factor",
+                            amplitudes_scaled(am._trace_factor))
+        assert uc_gap(model, LONG_WINDOW, 4, *uc_lattice(model)) > 1e-13
 
     def test_reference_peak_memory_stays_blocked(self, model80):
         # traced allocation peak of sigma_min_ref at K = 80 on the default
         # long window; the stacked 7,058 x 160 sample matrix and its copies
         # peaked at 22.6 MB
+        w = np.ones((2 * model80.K, 1))
         tracemalloc.start()
         try:
-            hg._uc_reference(model80, LONG_WINDOW)
+            table = hg.run_inclusion(model80, LONG_WINDOW, (), [], w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert table.sigma_min_ref > 0.0
         assert peak < 10e6
 
     def test_empty_region(self, model):
-        assert am.uc_scan(model, [], 4, np.linspace(-1, 1, 100)) == 0.0
+        assert am.uc_scan(model, [], 4, -1.0, 0.01) == 0.0
 
     def test_single_mode_full_period_injective(self, model):
-        lat = np.linspace(-np.pi, np.pi, 200)
-        assert am.uc_scan(model, [("-", -np.pi, np.pi)], 1, lat) > 0.0
+        assert am.uc_scan(model, [("-", -np.pi, np.pi)], 1, -np.pi,
+                          2 * np.pi / 199) > 0.0
 
     def test_underdetermined_rejected(self, model):
-        lat = np.linspace(-0.1, 0.1, 5)
         with pytest.raises(am.UnderdeterminedError):
-            am.uc_scan(model, [("-", -0.1, 0.1)], 10, lat)
+            am.uc_scan(model, [("-", -0.1, 0.1)], 10, -0.1, 0.05)
 
     def test_nested_monotonicity(self, model):
-        lat = np.linspace(-3.0, 3.0, 601)
         sig = []
         for th in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             ivs = [("-", -th, th), ("+", -th, th)]
-            sig.append(am.uc_scan(model, ivs, 4, lat))
+            sig.append(am.uc_scan(model, ivs, 4, -3.0, 0.01))
         assert all(a <= b + 1e-14 for a, b in zip(sig, sig[1:]))

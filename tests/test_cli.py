@@ -735,6 +735,18 @@ def errors_doubled(weyl_errors):
     return lambda *args: 2.0 * weyl_errors(*args)
 
 
+def floor_errors_doubled(weyl_errors):
+    """The Weyl errors of rungs at the rounding floor (distance below 1e-13)
+    set to twice their distance: above the Lipschitz bound
+    sqrt(3 + |z_lim|^2) = 1.80 of the default config, within its rounding
+    allowance."""
+    def errors(z_seq, z_lim):
+        e = weyl_errors(z_seq, z_lim)
+        d = np.linalg.norm(np.asarray(z_seq) - z_lim, axis=1)
+        return np.where(d < 1e-13, 2.0 * d, e)
+    return errors
+
+
 def failed_line(tmp_path, command, check):
     """(value, bound) of the report line of check, which must end in FAIL."""
     line, = [l for l in (tmp_path / f"{command.replace('-', '_')}_report.txt")
@@ -801,6 +813,31 @@ class TestVerifyChecksFail:
         assert cli.run("weyl-convergence", cli.RunConfig(),
                        str(tmp_path)) == 1
         failed_line(tmp_path, "weyl-convergence", check)
+
+    def test_residual_monotone_fault_fails(self, tmp_path, monkeypatch):
+        # the default rung residuals 0.70, 0.46, 2.0e-15, ... rise by 0.46
+        # with the second and third rungs swapped
+        monkeypatch.setattr(hg, "boundary_ladder",
+                            rungs_swapped(hg.boundary_ladder))
+        assert cli.run("holo-inclusion", cli.RunConfig(), str(tmp_path)) == 1
+        value, _ = failed_line(tmp_path, "holo-inclusion",
+                               "residual_monotone")
+        assert float(value) > 0.4
+
+    def test_floor_rung_within_rounding_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hg, "_weyl_errors",
+                            floor_errors_doubled(hg._weyl_errors))
+        assert cli.run("weyl-convergence", cli.RunConfig(),
+                       str(tmp_path)) == 0
+        # the three floor rungs break the bound alone, not with the allowance
+        report = (tmp_path / "weyl_convergence_report.txt").read_text()
+        lipschitz = float(re.search(r"lipschitz_constant: (\S+)",
+                                    report).group(1))
+        rows = [[float(v) for v in l.split(",")] for l in (
+            tmp_path / "weyl_convergence.csv").read_text().splitlines()[-5:]]
+        assert [e > lipschitz * cd for _, _, cd, e in rows] == [
+            False, False, True, True, True]
+        assert re.search(r"^weyl_lipschitz_ratio .* PASS$", report, re.M)
 
     def test_lipschitz_ratio_fails_alone(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hg, "_weyl_errors",
