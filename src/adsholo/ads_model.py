@@ -28,10 +28,12 @@ does not grow with the sampling window.
 
 build_model assembles the mode basis without checking it; the command line
 front end compares it with its quadrature Gram matrix and with the
-finite-difference oracle fd_mode_frequencies.  Results are plain arrays and
-numbers (uc_scan gives the smallest singular value), and every error class
-here is a phase_core.ShapeError, which the front end reports with exit
-code 2.
+finite-difference oracle fd_mode_frequencies, and it checks the config
+rules (nu > 0, K >= 1, ...) that the functions here take as given.
+Results are plain arrays and numbers (uc_scan gives the smallest singular
+value, nan when the region holds too few samples), and what cannot run at
+valid settings raises phase_core.ShapeError, which the front end reports
+with exit code 2.
 """
 
 from dataclasses import dataclass, field
@@ -43,20 +45,9 @@ from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 from .phase_core import ShapeError
 
 
-class BFBoundError(ShapeError):
-    """nu <= 0 violates the Breitenlohner-Freedman bound."""
-
-
-class InvalidPerturbationError(ShapeError):
-    """Perturbation support touches the boundary margin."""
-
-
-class MarginError(ShapeError):
-    """Bulk test function support violates the interior margin."""
-
-
-class UnderdeterminedError(ShapeError):
-    """Fewer boundary samples than truncated solution dimensions."""
+# grid cells next to each wall that a perturbation and a bulk test
+# function must leave clear
+SUPPORT_MARGIN = 3
 
 
 @dataclass(frozen=True)
@@ -71,18 +62,14 @@ class AdsStripModel:
     mode_values: np.ndarray       # (K, len(x)) mode samples on x
     beta_minus: np.ndarray        # (K,) boundary amplitudes at x = -pi/2
     beta_plus: np.ndarray         # (K,) boundary amplitudes at x = +pi/2
-    support_margin: int           # grid cells kept clear of x = +-pi/2
     # unperturbed normalization data and, for perturbed models, the
     # coefficient matrix expanding eigenmodes in the unperturbed basis
     _n_basis: int = field(repr=False, default=0)
     _coeff: np.ndarray | None = field(repr=False, default=None)
 
     def betas(self, component):
-        if component == "-":
-            return self.beta_minus
-        if component == "+":
-            return self.beta_plus
-        raise ShapeError(f"unknown boundary component {component!r}")
+        """Boundary amplitudes on component "-" or "+"."""
+        return self.beta_minus if component == "-" else self.beta_plus
 
     def eval_modes(self, x):
         """Mode values phi_k(x) at arbitrary interior points, shape (K, len(x))."""
@@ -146,8 +133,6 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     with zero-flux walls (w vanishes there exactly).  Three dyadic grids
     eliminate the h^2 and h^{2+2nu} boundary-layer error terms.
     """
-    if nu <= 0.0:
-        raise BFBoundError(f"nu = {nu} violates the bound nu > 0")
     nup = 0.5 + nu
 
     def raw(n):
@@ -180,19 +165,15 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     return np.linalg.lstsq(a, vals, rcond=None)[0][0]
 
 
-def build_model(nu, K, N=512, perturbation=None, support_margin=3):
+def build_model(nu, K, N=512, perturbation=None):
     """Assemble the mode basis of the strip model.
 
     perturbation, if given, is a smooth callable W(x) that vanishes on the
-    support_margin grid cells next to each wall; the perturbed eigenproblem
+    SUPPORT_MARGIN grid cells next to each wall; the perturbed eigenproblem
     is solved by Galerkin projection on max(2K, K + 16) unperturbed modes.
     The model is not checked here: its quadrature Gram residual and its
     agreement with fd_mode_frequencies are for the caller to judge.
     """
-    if nu <= 0.0:
-        raise BFBoundError(f"nu = {nu} violates the bound nu > 0")
-    if K < 1:
-        raise ShapeError("K must be >= 1")
     if N < 4 * K:
         raise ShapeError(f"need N >= 4K (N = {N}, K = {K})")
 
@@ -209,9 +190,9 @@ def build_model(nu, K, N=512, perturbation=None, support_margin=3):
         bm, bp = _boundary_amplitudes(nu_plus, K)
     else:
         wvals = np.asarray(perturbation(x), dtype=float)
-        m = support_margin
+        m = SUPPORT_MARGIN
         if np.any(wvals[:m] != 0.0) or np.any(wvals[-m:] != 0.0):
-            raise InvalidPerturbationError(
+            raise ShapeError(
                 "perturbation support touches the boundary margin")
         nb = max(2 * K, K + 16)
         if N < 4 * nb:
@@ -244,7 +225,7 @@ def build_model(nu, K, N=512, perturbation=None, support_margin=3):
         coeff = coeff / norms[None, :]
 
     return AdsStripModel(nu, nu_plus, mass, K, x, wq, omegas, vals, bm, bp,
-                         support_margin, _n_basis=nb, _coeff=coeff)
+                         _n_basis=nb, _coeff=coeff)
 
 
 # ----------------------------------------------------------------------
@@ -266,9 +247,9 @@ class BulkTestFunction:
 
 
 def _check_margin(model, x_lo, x_hi):
-    m = model.support_margin
+    m = SUPPORT_MARGIN
     if x_lo < model.x[m] or x_hi > model.x[-(m + 1)]:
-        raise MarginError(
+        raise ShapeError(
             f"support [{x_lo:.4f}, {x_hi:.4f}] closer than {m} grid cells "
             "to the boundary")
 
@@ -452,7 +433,8 @@ _UC_BLOCK = 2048
 
 def uc_scan(model, o_intervals, k_eff, t_start, step):
     """Smallest singular value of the map from the first k_eff modes to their
-    boundary samples; 0 when no lattice time falls inside the intervals.
+    boundary samples; 0 when no lattice time falls inside the intervals, and
+    nan when fewer than 2 k_eff do, too few to determine the modes.
 
     o_intervals is a list of (component, t0, t1).  The lattice is
     t_start + j step, j = 0, 1, ..., up to the last interval end.  Each of
@@ -498,6 +480,5 @@ def uc_scan(model, o_intervals, k_eff, t_start, step):
     if not n_rows:
         return 0.0
     if n_rows < 2 * k_eff:
-        raise UnderdeterminedError(
-            f"{n_rows} samples for {2 * k_eff} solution dimensions")
+        return float("nan")
     return float(np.linalg.svd(buf[:n_r], compute_uv=False)[-1])

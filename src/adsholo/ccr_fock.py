@@ -14,6 +14,8 @@ Gaussian overlaps of Weyl operators, which holography takes in closed form.
 A quasi-free state enters only through its one-particle structure K
 (phase_core.one_particle_structure): the field of a phase-space vector v is
 segal_field(rep, K v) on the Fock space over C^m, m the number of rows of K.
+A displacement past WEYL_NORM_CAP, which the cutoff cannot support, or
+vectors of the wrong shape raise phase_core.ShapeError.
 """
 
 from dataclasses import dataclass, field
@@ -27,10 +29,6 @@ from .phase_core import ShapeError
 WEYL_NORM_CAP = 2.0     # coherent displacement the default cutoff can support
 EXP_TOLERANCE = 1e-10
 SERIES_CUT = 1e-17      # Bessel coefficients below this end the Weyl series
-
-
-class CutoffUnreliableError(ShapeError):
-    """The requested displacement exceeds what the occupation cutoff supports."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def _check_vectors(rep, h, norm_cap=np.inf):
         raise ShapeError("vector has non-finite entries")
     nrm = float(np.linalg.norm(h, axis=-1).max())
     if nrm > norm_cap:
-        raise CutoffUnreliableError(
+        raise ShapeError(
             f"||h|| = {nrm:.3f} exceeds the displacement cap {norm_cap}")
     return h
 

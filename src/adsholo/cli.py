@@ -6,8 +6,9 @@ pass) among its experiments; each artifact equals its command's run alone.
 
 Exit codes: 0 all checks within tolerance, 1 a check failed, 2 usage or
 configuration error (ConfigError), or an experiment that cannot run at the
-given settings (phase_core.ShapeError, the base of every other error class
-in the package).
+given settings (phase_core.ShapeError, the package's one refusal type).
+Each config rule is checked once, in validate_config; the library takes
+the rules as given.
 """
 
 import argparse
@@ -24,9 +25,6 @@ from . import ads_model as am
 from . import ccr_fock as cf
 from . import holography as hg
 from . import phase_core as pc
-
-COMMANDS = ("modes", "propagator", "ccr-verify", "kw-verify",
-            "holo-inclusion", "uc-scan", "weyl-convergence", "check-all")
 
 
 class ConfigError(ValueError):
@@ -55,10 +53,8 @@ class RunConfig:
     n_bulk: int = _key("experiment", 10)
     seed: int = _key("experiment", 0)
     monotonicity_slack: float = _key("experiment", 1e-3)
-    quad_tolerance: float = _key("tolerances", 1e-8)
     eig_tolerance: float = _key("tolerances", 1e-6)
     pde_tolerance: float = _key("tolerances", 1e-5)
-    support_margin: int = _key("tolerances", 3)
 
 
 def _schema():
@@ -133,8 +129,10 @@ def validate_config(cfg):
     for key in _SCHEMA["tolerances"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg.support_margin >= cfg.n // 2:
-        raise ConfigError("support_margin must be < n // 2")
+    if cfg.n // 2 <= am.SUPPORT_MARGIN:
+        raise ConfigError(f"n must be >= {2 * am.SUPPORT_MARGIN + 2}: the "
+                          f"grid keeps {am.SUPPORT_MARGIN} cells clear of "
+                          "each wall")
     parse_o_region(cfg.o)
     parse_v_region(cfg.v)
     parse_ladder(cfg.ladder)
@@ -259,14 +257,13 @@ def checked_model(cfg, memo):
     fd = once(memo, ("fd", k_check), lambda: am.fd_mode_frequencies(
         cfg.nu, k_check, 2000, perturbation=perturbation))
     model = once(memo, ("model", cfg.k), lambda: am.build_model(
-        cfg.nu, cfg.k, cfg.n, perturbation=perturbation,
-        support_margin=cfg.support_margin))
+        cfg.nu, cfg.k, cfg.n, perturbation=perturbation))
     gram = (model.mode_values * model.wq) @ model.mode_values.T
     ortho = float(np.abs(gram - np.eye(cfg.k)).max())
     err = float(np.abs(fd - model.omegas[:k_check]).max())
     return model, [
         _within("mode_orthonormality [one_particle quadrature Gram]", ortho,
-                cfg.quad_tolerance),
+                1e-8),
         _within("fd_spectrum_agreement [fd_mode_frequencies]", err,
                 cfg.eig_tolerance)]
 
@@ -545,6 +542,7 @@ _DISPATCH = {
     "uc-scan": cmd_uc_scan,
     "weyl-convergence": cmd_weyl_convergence,
 }
+COMMANDS = (*_DISPATCH, "check-all")
 
 
 def run(command, cfg, out_dir="."):

@@ -18,15 +18,9 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """A computation cannot run on its inputs or settings: inconsistent
-    dimensions or broken (anti)symmetry here, a more specific cause in a
-    subclass.  Every error class of the package other than the command
-    line's ConfigError derives from it."""
-
-
-class PositivityViolationError(ShapeError):
-    """2 eta + i sigma is not positive semidefinite: sigma is not dominated
-    by the covariance."""
+    """A computation cannot run on its inputs or settings; the message names
+    the cause.  It is the package's one refusal type, and the command line's
+    ConfigError is its only other error class."""
 
 
 # numerical tolerances for double-precision Gram computations
@@ -75,16 +69,15 @@ def one_particle_structure(ps):
 
     The Hermitian form is positive semidefinite exactly when sigma is
     dominated by the covariance, |sigma(v, w)|^2 <= 4 eta(v, v) eta(w, w);
-    an eigenvalue below -NUM_TOLERANCE max(mu_max, 1) raises
-    PositivityViolationError.  K is sqrt(mu) V^H on the eigenpairs with mu
-    above RANK_TOLERANCE mu_max, so m is the rank of the form: d / 2 for a
-    pure state, more for a mixed one.  The field of v is the Segal field of
-    K v, whose commutators are i sigma and whose vacuum expectations are
-    exp(-eta(v, v) / 2).
+    an eigenvalue below -NUM_TOLERANCE max(mu_max, 1) raises ShapeError.
+    K is sqrt(mu) V^H on the eigenpairs with mu above RANK_TOLERANCE mu_max,
+    so m is the rank of the form: d / 2 for a pure state, more for a mixed
+    one.  The field of v is the Segal field of K v, whose commutators are
+    i sigma and whose vacuum expectations are exp(-eta(v, v) / 2).
     """
     mu, v = np.linalg.eigh(2.0 * ps.eta + 1j * ps.sigma)
     if mu[0] < -NUM_TOLERANCE * max(mu[-1], 1.0):
-        raise PositivityViolationError(
+        raise ShapeError(
             f"2 eta + i sigma has eigenvalue {mu[0]:.3e} < 0: sigma is not "
             "dominated by the covariance")
     keep = mu > RANK_TOLERANCE * mu[-1]

@@ -41,12 +41,6 @@ def model_half():
 
 
 class TestBuildModel:
-    def test_rejects_bf_violation(self):
-        with pytest.raises(am.BFBoundError):
-            am.build_model(0.0, 10, 128)
-        with pytest.raises(am.BFBoundError):
-            am.build_model(-0.3, 10, 128)
-
     def test_rejects_small_grid(self):
         with pytest.raises(pc.ShapeError):
             am.build_model(0.5, 40, 100)
@@ -113,7 +107,8 @@ class TestBuildModel:
 
 class TestPerturbedModel:
     def test_rejects_boundary_touching_perturbation(self):
-        with pytest.raises(am.InvalidPerturbationError):
+        with pytest.raises(pc.ShapeError, match="perturbation support "
+                           "touches the boundary margin"):
             am.build_model(0.7, 10, 128,
                            perturbation=lambda x: np.cos(x) ** 2)
 
@@ -158,7 +153,7 @@ class TestOneParticleMap:
             assert c[k] == pytest.approx(expect[k], rel=2e-2)
 
     def test_margin_enforced(self, model):
-        with pytest.raises(am.MarginError):
+        with pytest.raises(pc.ShapeError, match="closer than 3 grid cells"):
             am.bulk_bump(model, 0.0, 0.0, 0.2, 0.3)
 
     def test_source_stays_factored(self, model48):
@@ -538,8 +533,8 @@ class TestUcScan:
                           2 * np.pi / 199) > 0.0
 
     def test_underdetermined_rejected(self, model):
-        with pytest.raises(am.UnderdeterminedError):
-            am.uc_scan(model, [("-", -0.1, 0.1)], 10, -0.1, 0.05)
+        # 5 lattice times for 20 solution dimensions
+        assert np.isnan(am.uc_scan(model, [("-", -0.1, 0.1)], 10, -0.1, 0.05))
 
     def test_nested_monotonicity(self, model):
         sig = []

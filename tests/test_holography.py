@@ -325,15 +325,3 @@ class TestWeylConvergence:
         err, = hg._weyl_errors([z_lim + [0.0, delta]], z_lim)
         assert 0.9999 < err / (np.sqrt(3.0 + r * r) * delta) <= 1.0
 
-
-class TestLadderValidation:
-    def test_rejects_nonincreasing_ladder(self, small_plan, small_model):
-        with pytest.raises(pc.ShapeError, match="strictly increasing"):
-            hg.boundary_ladder(small_model, small_plan["o_region"],
-                               (10, 10, 20))
-
-    @pytest.mark.parametrize("ladder", [(-3, 5), (0, 5)], ids=["-3,5", "0,5"])
-    def test_rejects_nonpositive_entries(self, small_plan, small_model,
-                                         ladder):
-        with pytest.raises(pc.ShapeError, match="ladder entries"):
-            hg.boundary_ladder(small_model, small_plan["o_region"], ladder)

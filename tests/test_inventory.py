@@ -4,28 +4,30 @@ that only the tests need live in tests/reference_ops.py, which reads no
 private package name but the trapezoid weights, so that it stays a second
 path to what it checks."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adsholo"
 REFERENCE_OPS = Path(__file__).resolve().parent / "reference_ops.py"
 
 
-def used_names(node, skip):
-    """Names and attribute names read under node, outside the subtree skip."""
-    if node is not skip:
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            yield node.id if isinstance(node, ast.Name) else node.attr
-        for child in ast.iter_child_nodes(node):
-            yield from used_names(child, skip)
+def name_uses(node):
+    """Counts of the names and attribute names read under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def test_every_definition_is_used_in_the_package():
+    # a definition is used when the package reads its name more often than
+    # the definition itself does
     trees = [ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))]
+    uses = sum(map(name_uses, trees), Counter())
     unused = [node.name for tree in trees for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name != "main"     # the console entry point
-              and not any(node.name in used_names(t, node) for t in trees)]
+              and uses[node.name] == name_uses(node)[node.name]]
     assert unused == []
 
 

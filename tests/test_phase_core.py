@@ -63,7 +63,7 @@ class TestCheckPositivity:
     def test_scaled_j(self):
         k = pc.one_particle_structure(pc.PhaseSpace(2, np.eye(2), 2.0 * J))
         assert k.shape == (1, 2)
-        with pytest.raises(pc.PositivityViolationError):
+        with pytest.raises(pc.ShapeError, match="not dominated"):
             pc.one_particle_structure(
                 pc.PhaseSpace(2, np.eye(2), 2.0 * (1.0 + 1e-6) * J))
 
@@ -71,7 +71,7 @@ class TestCheckPositivity:
         # sigma does not vanish on the kernel of eta: 2 eta + i sigma has a
         # negative eigenvalue, however small sigma is
         ps = pc.PhaseSpace(2, np.diag([1.0, 0.0]), 1e-3 * J)
-        with pytest.raises(pc.PositivityViolationError):
+        with pytest.raises(pc.ShapeError, match="not dominated"):
             pc.one_particle_structure(ps)
 
     def test_degenerate_eta_with_vanishing_sigma_accepted(self):
@@ -133,7 +133,7 @@ class TestKahlerFromCovariance:
 
     def test_positivity_violation_rejected(self):
         ps = pc.PhaseSpace(2, np.eye(2), 3.0 * J)
-        with pytest.raises(pc.PositivityViolationError):
+        with pytest.raises(pc.ShapeError, match="not dominated"):
             pc.one_particle_structure(ps)
 
     @pytest.mark.parametrize("seed", range(5))
