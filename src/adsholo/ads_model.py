@@ -16,10 +16,11 @@ function is kept as time factors times densitized (multiplied by sec^2 x)
 space factors on the model grid, a product that is never formed.
 The boundary dual map and the unique-continuation scan share one boundary
 trace, Re sum_k beta_k e^{-i omega_k t} c_k / sqrt(2 omega_k): both read the
-frequencies and amplitudes from _trace_factor.  The propagator's time
-integral is an in-module equal-step cumulative Simpson rule (Cartwright
-2017): SciPy's cumulative_simpson on equal steps, with the same
-floating-point operations in the same order.
+frequencies and amplitudes from _trace_factor.  The retarded propagator
+gives the mode coefficients u_k(t) of its solution; its time integral is an
+in-module equal-step cumulative Simpson rule (Cartwright 2017): SciPy's
+cumulative_simpson on equal steps, with the same floating-point operations
+in the same order.
 
 uc_scan samples that trace on one lattice t_start + j step, which it builds
 itself up to the last interval end, and folds the samples block by block
@@ -251,7 +252,7 @@ def _check_margin(model, x_lo, x_hi):
     if x_lo < model.x[m] or x_hi > model.x[-(m + 1)]:
         raise ShapeError(
             f"support [{x_lo:.4f}, {x_hi:.4f}] closer than {m} grid cells "
-            "to the boundary")
+            f"to the boundary on the n = {len(model.x)} grid")
 
 
 def _trapezoid_weights(grid):
@@ -360,18 +361,13 @@ def _cumulative_simpson(y, dx):
                            np.cumsum(sub, axis=0) + 0.0])
 
 
-def propagator_apply(model, v, which, t_out=None, x_out=None):
-    """Retarded or advanced Dirichlet solution of P u = v, mode by mode.
+def propagator_apply(model, v, t_out):
+    """Retarded Dirichlet solution of P u = v, mode by mode: its mode
+    coefficients u_k(t_out), shape (len(t_out), K).
 
-    Output times must lie on the (extension of the) source time lattice;
-    they default to the source grid itself.  Returns the values, shape
-    (len(t_out), len(x)), on the model x grid unless x_out is given.
+    Output times must lie on the (extension of the) source time lattice.
     """
-    if which not in ("retarded", "advanced"):
-        raise ShapeError(f"unknown propagator kind {which!r}")
     _check_margin(model, *v.support_x)
-    if t_out is None:
-        t_out = v.t_grid
     t_out = np.asarray(t_out, dtype=float)
     idx = _aligned_indices(v, t_out)
 
@@ -386,18 +382,8 @@ def propagator_apply(model, v, which, t_out=None, x_out=None):
     # source integral up to each output time: 0 before the source support
     # (c_cum[0] = 0), the full integral after it (c_cum[-1])
     n = np.clip(idx, 0, t_src.size - 1)
-    c, s = c_cum[n], s_cum[n]
     phase = np.outer(t_out, om)
-    if which == "retarded":
-        u_modes = (np.sin(phase) * c - np.cos(phase) * s) / om
-    else:
-        # the advanced solution integrates the source after each output time
-        c, s = c_cum[-1] - c, s_cum[-1] - s
-        u_modes = (np.cos(phase) * s - np.sin(phase) * c) / om
-
-    if x_out is None:
-        return u_modes @ model.mode_values
-    return u_modes @ model.eval_modes(np.asarray(x_out, dtype=float))
+    return (np.sin(phase) * c_cum[n] - np.cos(phase) * s_cum[n]) / om
 
 
 def _trace_factor(model, component, k):

@@ -1,8 +1,9 @@
 """Batch front end: strict key = value configs, named experiments, CSV
 artifacts with full config echo, deterministic byte-for-byte output.
 
-A `run` call shares one memo (checked model per cutoff, FD oracle, ladder
-pass) among its experiments; each artifact equals its command's run alone.
+A `run` call shares one memo (the checked model, its FD oracle, the ladder
+pass) among its experiments, which all run at the config they echo; each
+artifact equals its command's run alone.
 
 Exit codes: 0 all checks within tolerance, 1 a check failed, 2 usage or
 configuration error (ConfigError), or an experiment that cannot run at the
@@ -34,6 +35,10 @@ class ConfigError(ValueError):
 # absolute rounding allowance of the Weyl errors and distances, whose target
 # has norm 1/2; the errors on rungs at the rounding floor stay below 1e-15
 WEYL_ROUNDING = 1e-14
+
+# relative gap allowed between the propagator source's mode integrals by the
+# model quadrature and by a uniform trapezoid rule (2.2e-10 at the default)
+PROJECTION_TOLERANCE = 1e-8
 
 
 def _key(section, default):
@@ -254,9 +259,9 @@ def checked_model(cfg, memo):
     # the oracle goes first: it rejects a nu whose weight cos^(2 nu_+)
     # underflows before the model build meets the same underflow
     k_check = min(cfg.k, 30)
-    fd = once(memo, ("fd", k_check), lambda: am.fd_mode_frequencies(
+    fd = once(memo, "fd", lambda: am.fd_mode_frequencies(
         cfg.nu, k_check, 2000, perturbation=perturbation))
-    model = once(memo, ("model", cfg.k), lambda: am.build_model(
+    model = once(memo, "model", lambda: am.build_model(
         cfg.nu, cfg.k, cfg.n, perturbation=perturbation))
     gram = (model.mode_values * model.wq) @ model.mode_values.T
     ortho = float(np.abs(gram - np.eye(cfg.k)).max())
@@ -334,58 +339,65 @@ def cmd_modes(cfg, memo):
 
 
 def cmd_propagator(cfg, memo):
-    # the check runs at a cutoff of at least 48, where the mode-truncation
-    # error of the densitized source is small; for a perturbed model the
-    # residual P u - v follows the Galerkin basis size max(2K, K + 16) of
-    # build_model instead
-    model = build_cfg_model(replace(cfg, k=max(cfg.k, 48)), memo)
-    sig_t, sig_x = 0.3, 0.22
+    model = build_cfg_model(cfg, memo)
+    sig_t, sig_x, n_sigma = 0.3, 0.22, 6.8
     v = am.bulk_bump(model, 0.0, 0.0, sig_t, sig_x, t_step=0.003,
-                     n_sigma=6.8)
+                     n_sigma=n_sigma)
+    vt = am._mode_time_series(model, v)                    # (nt, K)
 
     # zero before the source support
     t_pre = v.t_grid[0] - v.t_step * (1.0 + np.arange(5))
-    u_pre = am.propagator_apply(model, v, "retarded", t_out=t_pre)
-    pre = float(np.abs(u_pre).max())
+    pre = float(np.abs(am.propagator_apply(model, v, t_pre)).max())
 
-    # finite-difference check of P u = v on a uniform interior grid; the
-    # check samples every second source time so the second difference is
-    # blind to the odd/even pattern of the cumulative time integrator
+    # the mode integrals of the densitized space factor by a second path, a
+    # uniform trapezoid rule over the support; its truncation edge near the
+    # wall leaves the two paths 2e-10 apart
+    xs = np.linspace(-1.5, 1.5, 601)
+    h_xs = np.exp(-0.5 * (xs / sig_x) ** 2) / np.cos(xs) ** 2
+    h_xs[np.abs(xs) > n_sigma * sig_x] = 0.0
+    trap = model.eval_modes(xs) @ (h_xs * am._trapezoid_weights(xs))
+    proj = float(np.abs(vt - v.t_factors * trap).max() / np.abs(vt).max())
+
+    # finite-difference check of P u against the K-mode projected source
+    # cos^2 x sum_k vt_k(t) phi_k(x) on a uniform interior grid, on the
+    # factors of u = sum_k u_k(t) phi_k(x); every second source time, so the
+    # second difference is blind to the odd/even pattern of the integrator
     xg = np.linspace(-1.2, 1.2, 601)
-    t_out = v.t_grid[::2]
-    u = am.propagator_apply(model, v, "retarded", t_out=t_out, x_out=xg)
-    dt, dx = 2.0 * v.t_step, xg[1] - xg[0]
+    u = am.propagator_apply(model, v, v.t_grid[::2])       # (nt', K)
+    phi = model.eval_modes(xg)                             # (K, 601)
+    dx = xg[1] - xg[0]
 
-    def d2(f, h, axis):
-        s = [slice(2, -2)] * 2
-        out = -30.0 * f[tuple(s)]
-        for off, c in ((1, 16.0), (2, -1.0)):
-            lo = [slice(2, -2)] * 2
-            hi = [slice(2, -2)] * 2
-            lo[axis] = slice(2 - off, -2 - off)
-            hi[axis] = slice(2 + off, -2 + off if off < 2 else None)
-            out = out + c * (f[tuple(lo)] + f[tuple(hi)])
-        return out / (12.0 * h * h)
+    def d2(f, h):  # fourth order along axis 0, two samples short each end
+        return (-30.0 * f[2:-2] + 16.0 * (f[1:-3] + f[3:-1])
+                - (f[:-4] + f[4:])) / (12.0 * h * h)
 
     cos2 = np.cos(xg[2:-2]) ** 2
-    u_in = u[2:-2, 2:-2]
-    pu = cos2 * (d2(u, dt, 0) - d2(u, dx, 1)) \
-        + model.mass * u_in
     perturbation = parse_perturbation(cfg.perturbation)
-    if perturbation is not None:
-        pu = pu + cos2 * perturbation(xg[2:-2]) * u_in
-    # the plain (not densitized) source g(t) h(x), kept as its two factors
-    g = np.exp(-0.5 * ((t_out[2:-2] - 0.0) / sig_t) ** 2)
-    h = np.exp(-0.5 * (xg[2:-2] / sig_x) ** 2)
-    resid = float(np.abs(pu - g[:, None] * h).max() / (g.max() * h.max()))
+    w = 0.0 if perturbation is None else perturbation(xg[2:-2])
+    pot = model.mass + cos2 * w
+    phi_in = phi[:, 2:-2]
+    # P u - cos^2 vt.phi = (u_tt - vt).cos^2 phi + u.(pot phi - cos^2 phi_xx)
+    # as one (t, x) product; the source peaks at 1
+    resid = float(np.abs(
+        np.hstack([d2(u, 2.0 * v.t_step) - vt[::2][2:-2], u[2:-2]])
+        @ np.vstack([cos2 * phi_in, pot * phi_in - cos2 * d2(phi.T, dx).T])
+    ).max())
+    # the plain source minus its projection at the peak time, where g = 1
+    peak = vt[np.argmax(v.t_factors[:, 0])]
+    trunc = float(np.abs(np.exp(-0.5 * (xg[2:-2] / sig_x) ** 2)
+                         - cos2 * (peak @ phi_in)).max())
     checks = [
         _within("retarded_pre_support [propagator_apply]", pre, 1e-14),
+        _within("source_projection [_mode_time_series, trapezoid]", proj,
+                PROJECTION_TOLERANCE),
         _within("pde_residual [propagator_apply, 4th-order FD]", resid,
                 cfg.pde_tolerance)]
+    notes = [f"source_truncation: {_fmt(trunc)} (plain source minus its "
+             f"{model.K}-mode projection)"]
 
-    norms = np.sqrt((u ** 2).sum(axis=1) * dx)
-    rows = [(float(t), float(nm)) for t, nm in zip(t_out, norms)]
-    return checks, [], "propagator", ("t", "l2_norm_u"), rows
+    norms = np.sqrt(((u @ ((phi * dx) @ phi.T)) * u).sum(axis=1))
+    rows = [(float(t), float(nm)) for t, nm in zip(v.t_grid[::2], norms)]
+    return checks, notes, "propagator", ("t", "l2_norm_u"), rows
 
 
 def _commutator_residual(rep, f1, f2, scalar, occ_cap):

@@ -7,6 +7,7 @@ from scipy.special import erf
 
 import reference_ops as ro
 from adsholo import ads_model as am
+from adsholo import cli
 from adsholo import holography as hg
 from adsholo import phase_core as pc
 
@@ -18,7 +19,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def model48():
-    # the cutoff of the propagator check
+    # above the default cutoff: the time integrator's error grows with omega
     return am.build_model(0.7, 48, 512)
 
 
@@ -173,6 +174,21 @@ class TestOneParticleMap:
         assert bump_peak < 0.5e6
         assert map_peak < 5e6
 
+    def test_propagator_check_keeps_solution_factored(self):
+        # traced allocation peak of the propagator command on a memoized
+        # default model: the residual's one (t, x) product, 677 x 597, and
+        # its absolute value take 3.2 MB each; the (t, x) values of u and
+        # their two stencils would take 13 MB
+        cfg, memo = cli.RunConfig(), {}
+        cli.build_cfg_model(cfg, memo)
+        tracemalloc.start()
+        try:
+            cli.cmd_propagator(cfg, memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 def seeded_bump_pair(model, rng):
     def one():
@@ -256,31 +272,21 @@ class TestPropagator:
     def test_zero_source(self, model):
         v = ro.bulk_from_products(np.linspace(0, 1, 21),
                                   [(np.zeros(21), np.zeros(512))], (-1.0, 1.0))
-        u = am.propagator_apply(model, v, "retarded")
-        assert np.abs(u).max() == 0.0
+        u = am.propagator_apply(model, v, v.t_grid)
+        assert u.shape == (21, model.K)
+        assert np.abs(u @ model.mode_values).max() == 0.0
 
     def test_retarded_vanishes_before_support(self, model):
         v = am.bulk_bump(model, 0.0, 0.2, 0.15, 0.07)
         t_pre = v.t_grid[0] - v.t_step * np.arange(1, 8)
-        u = am.propagator_apply(model, v, "retarded", t_out=t_pre)
-        assert np.abs(u).max() == 0.0
-
-    def test_advanced_vanishes_after_support(self, model):
-        v = am.bulk_bump(model, 0.0, 0.2, 0.15, 0.07)
-        t_post = v.t_grid[-1] + v.t_step * np.arange(1, 8)
-        u = am.propagator_apply(model, v, "advanced", t_out=t_post)
-        assert np.abs(u).max() == 0.0
+        u = am.propagator_apply(model, v, t_pre)
+        assert u.shape == (7, model.K)
+        assert np.abs(u @ model.mode_values).max() == 0.0
 
     def test_misaligned_output_times_rejected(self, model):
         v = am.bulk_bump(model, 0.0, 0.0, 0.2, 0.07)
         with pytest.raises(pc.ShapeError):
-            am.propagator_apply(model, v, "retarded",
-                                t_out=v.t_grid[:3] + 0.37 * v.t_step)
-
-    def test_unknown_kind_rejected(self, model):
-        v = am.bulk_bump(model, 0.0, 0.0, 0.2, 0.07)
-        with pytest.raises(pc.ShapeError):
-            am.propagator_apply(model, v, "sideways")
+            am.propagator_apply(model, v, v.t_grid[:3] + 0.37 * v.t_step)
 
     @staticmethod
     def integrator_error(model):
@@ -302,8 +308,7 @@ class TestPropagator:
         prim = sig * np.sqrt(np.pi / 2.0) * np.exp(-a ** 2) * erf(
             v.t_grid[:, None] / (sig * np.sqrt(2.0)) - 1j * a)
         integral = (prim - prim[0]) * h
-        u = am.propagator_apply(model, v, "retarded")
-        modes = (u * model.wq) @ model.mode_values.T
+        modes = am.propagator_apply(model, v, v.t_grid)
         want = -np.imag(np.exp(-1j * np.outer(v.t_grid, om)) * integral) / om
         return np.abs(om * (modes - want)).max() / np.abs(integral).max()
 
@@ -351,8 +356,7 @@ class TestPropagator:
         idx = int(round((t_end - v.t_grid[0]) / v.t_step))
         t_out = v.t_grid[0] + idx * v.t_step
         assert abs(t_out - t_end) < 2e-3
-        u_modal = am.propagator_apply(m, v, "retarded",
-                                      t_out=np.array([t_out]), x_out=xg)
+        u_modal = am.propagator_apply(m, v, [t_out]) @ m.eval_modes(xg)
         # leapfrog is second order; compare in relative L2 on the slice
         diff = u_modal[0] - u_cur
         rel = np.linalg.norm(diff) / np.linalg.norm(u_cur)

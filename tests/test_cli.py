@@ -534,11 +534,11 @@ class TestRunDispatch:
 
     def test_check_all_shares_work_within_one_run(self, tmp_path,
                                                   monkeypatch):
-        # one FD oracle per checked mode count (10, and 30 for the K = 48
-        # propagator model), one model per cutoff and one dual-mapped
-        # dictionary, at one dual_boundary_matrix call per bump center: the
-        # 80 bumps sit at 1 + 2 + 4 centers per component and 4 more on
-        # the first; the second run repeats them, so nothing outlives it
+        # one FD oracle, one model (propagator's too, at the configured k)
+        # and one dual-mapped dictionary, at one dual_boundary_matrix call
+        # per bump center: the 80 bumps sit at 1 + 2 + 4 centers per
+        # component and 4 more on the first; the second run repeats them,
+        # so nothing outlives it
         calls = {}
         for name in ("fd_mode_frequencies", "build_model",
                      "dual_boundary_matrix"):
@@ -549,7 +549,7 @@ class TestRunDispatch:
             calls.update(fd_mode_frequencies=0, build_model=0,
                          dual_boundary_matrix=0)
             cli.run("check-all", cfg, str(tmp_path / out))
-            assert calls == {"fd_mode_frequencies": 2, "build_model": 2,
+            assert calls == {"fd_mode_frequencies": 1, "build_model": 1,
                              "dual_boundary_matrix": 18}
 
     def test_check_all_builds_no_two_mode_fock_space(self, tmp_path,
@@ -582,6 +582,26 @@ class TestPropagatorResidual:
 
         r48, r60 = residual(48), residual(60)
         assert r60 < r48 < 1e-3
+
+    @pytest.mark.parametrize("k", [4, 13, 30])
+    def test_runs_at_configured_cutoff(self, tmp_path, k):
+        # P u is compared with the k-mode projected source, so no cutoff
+        # floor is needed, and the artifact echoes the k that ran
+        cfg = dataclasses.replace(cli.RunConfig(), k=k, n=192)
+        assert cli.run("propagator", cfg, str(tmp_path)) == 0
+        assert f"# k = {k}" in (tmp_path / "propagator.csv").read_text() \
+            .splitlines()
+        assert f"its {k}-mode projection" in (
+            tmp_path / "propagator_report.txt").read_text()
+
+    def test_small_grid_refusal_names_n(self, tmp_path, capsys):
+        # at nu = 0.7 the source's support edge 6.8 * 0.22 = 1.496 lies
+        # within 3 cells of the wall on every grid below n = 176
+        cfg = dataclasses.replace(cli.RunConfig(), k=30, n=120)
+        assert cli.run("propagator", cfg, str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: support ")
+        assert "n = 120" in err[0]
 
 
 class TestPerturbedSmoke:
@@ -730,10 +750,17 @@ def shifted(fd_mode_frequencies):
     return lambda *args, **kwargs: fd_mode_frequencies(*args, **kwargs) + 1e-5
 
 
-def advanced(propagator_apply):
-    """The advanced solution in place of the retarded one."""
-    return lambda model, v, which, **kwargs: propagator_apply(
-        model, v, "advanced", **kwargs)
+def times_reversed(propagator_apply):
+    """The solution at the output times mirrored through the source's time
+    grid, t_grid[0] + t_grid[-1] - t_out: after the support where the times
+    precede it."""
+    return lambda model, v, t_out: propagator_apply(
+        model, v, v.t_grid[0] + v.t_grid[-1] - np.asarray(t_out))
+
+
+def series_scaled(mode_time_series):
+    """The source's mode time series scaled by 1.3."""
+    return lambda model, v: 1.3 * mode_time_series(model, v)
 
 
 def conjugated(fn):
@@ -806,7 +833,9 @@ FAULTS = {
     "fd_spectrum_agreement": ("modes", am, "fd_mode_frequencies",
                               (shifted,)),
     "retarded_pre_support": ("propagator", am, "propagator_apply",
-                             (advanced,)),
+                             (times_reversed,)),
+    "source_projection": ("propagator", am, "_mode_time_series",
+                          (series_scaled,)),
     "pde_residual": ("propagator", am, "build_model", (massless,)),
     "weyl_relation_residual": ("ccr-verify", cf, "weyl_apply",
                                (displaced, rolled)),
@@ -889,6 +918,18 @@ class TestVerifyChecksFail:
         assert [e > lipschitz * cd for _, _, cd, e in rows] == [
             False, False, True, True, True]
         assert re.search(r"^weyl_lipschitz_ratio .* PASS$", report, re.M)
+
+    def test_projection_fault_cancels_in_pde_residual(self, tmp_path,
+                                                      monkeypatch):
+        # the solver and the projected source both read _mode_time_series,
+        # so P u - source stays small under its fault: only the two-path
+        # source_projection check sees it
+        inject(monkeypatch, "source_projection")
+        assert cli.run("propagator", cli.RunConfig(), str(tmp_path)) == 1
+        report = (tmp_path / "propagator_report.txt").read_text()
+        assert [l.split(" [")[0] for l in report.splitlines()
+                if l.endswith(" FAIL")] == ["source_projection"]
+        assert re.search(r"^pde_residual .* PASS$", report, re.M)
 
     def test_lipschitz_ratio_fails_alone(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hg, "_weyl_errors",
