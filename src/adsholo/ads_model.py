@@ -175,9 +175,6 @@ def build_model(nu, K, N=512, perturbation=None):
     The model is not checked here: its quadrature Gram residual and its
     agreement with fd_mode_frequencies are for the caller to judge.
     """
-    if N < 4 * K:
-        raise ShapeError(f"need N >= 4K (N = {N}, K = {K})")
-
     nu_plus = 0.5 + nu
     mass = nu * nu - 0.25
     x, wq = _jacobi_grid(nu_plus, N)

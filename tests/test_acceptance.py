@@ -254,8 +254,8 @@ def test_criterion_5_ccr_suite():
 
 def test_criterion_6_inclusion_ladder(inclusion_run):
     res, elapsed = inclusion_run
-    slack = cli.RunConfig().monotonicity_slack
-    monotone = all(b <= a + slack for a, b in zip(res, res[1:]))
+    monotone = all(b <= a + cli.MONOTONICITY_SLACK
+                   for a, b in zip(res, res[1:]))
     plateau_ok = res[-1] <= 1e-3 * res[0]
     ok = monotone and plateau_ok and elapsed < 300.0
     report(6, "boundary dictionary ladder contracts onto the bulk", ok,

@@ -43,8 +43,13 @@ def model_half():
 
 class TestBuildModel:
     def test_rejects_small_grid(self):
-        with pytest.raises(pc.ShapeError):
-            am.build_model(0.5, 40, 100)
+        # the config rule n >= 4 k holds at K = 30, N = 120, but the
+        # perturbed model's Galerkin basis of max(2K, K + 16) = 60 modes
+        # needs N >= 240
+        w = cli.parse_perturbation("0.8:0.1:0.4")
+        with pytest.raises(pc.ShapeError, match=r"need N >= 4 n_basis "
+                           r"\(N = 120, n_basis = 60\)"):
+            am.build_model(0.7, 30, 120, perturbation=w)
 
     def test_unperturbed_spectrum_closed_form(self, model):
         assert np.abs(model.omegas - (1.2 + np.arange(30))).max() < 1e-12

@@ -81,7 +81,8 @@ class TestConfigParsing:
         "witness_tolerance", "n_witness", "quad_tolerance",
         "support_margin"])
     def test_removed_tolerance_keys_rejected(self, key):
-        with pytest.raises(cli.ConfigError, match="unknown key"):
+        with pytest.raises(cli.ConfigError,
+                           match=r"line 1: unknown section \[tolerances\]"):
             cli.parse_config_text(f"[tolerances]\n{key} = 1\n")
 
     def test_key_must_match_section(self):
@@ -160,21 +161,13 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="perturbation"):
             cli.parse_config_text("[model]\nperturbation = 1:2\n")
 
-    def test_nonpositive_tolerance(self):
-        with pytest.raises(cli.ConfigError, match="positive"):
-            cli.parse_config_text("[tolerances]\neig_tolerance = -1e-6\n")
-
     @pytest.mark.parametrize("section,key,value", [
         ("model", "nu", "nan"),
         ("model", "nu", "inf"),
         ("model", "perturbation", "1:nan:0.1"),
         ("model", "perturbation", "inf:0:0.1"),
         ("regions", "o", "-:-inf:1"),
-        ("regions", "v", "-0.5:0.5:-0.8:nan"),
-        ("experiment", "monotonicity_slack", "nan"),
-        ("tolerances", "eig_tolerance", "nan"),
-        ("tolerances", "eig_tolerance", "inf"),
-        ("tolerances", "pde_tolerance", "-inf")])
+        ("regions", "v", "-0.5:0.5:-0.8:nan")])
     def test_non_finite_value_rejected(self, section, key, value):
         with pytest.raises(cli.ConfigError, match="finite"):
             cli.parse_config_text(f"[{section}]\n{key} = {value}\n")
@@ -194,8 +187,7 @@ class TestSchema:
             "[model]\nnu = 0.7\nk = 30\nn = 512\nperturbation = none\n\n"
             "[regions]\no = -:-3.3:3.3;+:-3.3:3.3\nv = -0.5:0.5:-0.8:0.8\n\n"
             "[experiment]\nladder = 25,50,100,200,400\nn_bulk = 10\n"
-            "seed = 0\nmonotonicity_slack = 0.001\n\n"
-            "[tolerances]\neig_tolerance = 1e-06\npde_tolerance = 1e-05\n")
+            "seed = 0\n")
 
 
 class TestRoundTrip:
@@ -205,14 +197,11 @@ class TestRoundTrip:
 
     @given(nu=st.floats(0.05, 2.5),
            k=st.integers(1, 12),
-           seed=st.integers(0, 2 ** 31 - 1),
-           slack=st.floats(1e-12, 1e-1),
-           eig=st.floats(1e-12, 1e-2))
+           seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_random_configs_round_trip(self, nu, k, seed, slack, eig):
+    def test_random_configs_round_trip(self, nu, k, seed):
         cfg = dataclasses.replace(cli.RunConfig(), nu=nu, k=k, n=8 * k,
-                                  seed=seed, monotonicity_slack=slack,
-                                  eig_tolerance=eig)
+                                  seed=seed)
         text = cli.serialize_config(cfg)
         assert cli.parse_config_text(text) == cfg
 
@@ -284,6 +273,25 @@ class TestMain:
         assert captured.err.splitlines() == [
             "config error: n must be >= 8: the grid keeps 3 cells clear of "
             "each wall"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nmonotonicity_slack = 0.001\n",
+         "line 2: unknown key 'monotonicity_slack' in [experiment]"),
+        ("[tolerances]\neig_tolerance = 1e-06\n",
+         "line 1: unknown section [tolerances]"),
+        ("[tolerances]\npde_tolerance = 1e-05\n",
+         "line 1: unknown section [tolerances]")])
+    def test_removed_check_bound_keys_exit_2(self, tmp_path, capsys, text,
+                                             message):
+        # the check bounds are constants of cli, not config keys
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        assert cli.main(["check-all", "--config", str(p),
+                         "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -491,28 +499,37 @@ class TestRunDispatch:
         assert [(float(r[1]), int(r[3])) for r in rows[1:]] == \
             [(1.0, 0), (1.0, 0)]
 
-    @pytest.mark.parametrize("command,tolerance,check", [
-        pytest.param("holo-inclusion", {"eig_tolerance": 1e-15},
-                     "fd_spectrum_agreement", id="holo-inclusion"),
-        pytest.param("weyl-convergence", {"eig_tolerance": 1e-15},
-                     "fd_spectrum_agreement", id="weyl-convergence"),
-        pytest.param("holo-inclusion", None, "mode_orthonormality",
+    @pytest.mark.parametrize("command,check", [
+        pytest.param("holo-inclusion", "fd_spectrum_agreement",
+                     id="holo-inclusion"),
+        pytest.param("weyl-convergence", "fd_spectrum_agreement",
+                     id="weyl-convergence"),
+        pytest.param("holo-inclusion", "mode_orthonormality",
                      id="holo-inclusion-gram")])
     def test_experiments_run_on_configured_model(self, tmp_path, capsys,
-                                                 monkeypatch, command,
-                                                 tolerance, check):
-        # a tolerance below what the configured model achieves, or else the
-        # check's fault from FAULTS, fails one of the model's two checks:
+                                                 monkeypatch, command, check):
+        # the check's fault from FAULTS fails one of the model's two checks:
         # modes reports it as its only FAIL line, and the experiments refuse
         # the model with exit 2
-        if tolerance is None:
-            inject(monkeypatch, check)
-        cfg = fast_cfg(**(tolerance or {}))
+        inject(monkeypatch, check)
+        cfg = fast_cfg()
         assert cli.run("modes", cfg, str(tmp_path)) == 1
         fails = [l for l in capsys.readouterr().out.splitlines()
                  if l.endswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith(check)
         assert cli.run(command, cfg, str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("k,n", [(1, 8), (2, 64), (3, 64)])
+    def test_uc_scan_below_four_modes(self, tmp_path, k, n):
+        # below k = 4 the scan takes all k modes, and its report says so
+        cfg = dataclasses.replace(cli.RunConfig(), k=k, n=n)
+        assert cli.run("uc-scan", cfg, str(tmp_path)) == 0
+        rows = [l.split(",") for l in (tmp_path / "uc_scan.csv")
+                .read_text().splitlines() if not l.startswith("#")][1:]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
+        assert all(float(r[2]) > 0.0 for r in rows)
+        report = (tmp_path / "uc_scan_report.txt").read_text().splitlines()
+        assert report[-1] == f"modes_scanned: {k}"
 
     def test_check_all_on_small_config(self, tmp_path):
         cfg = fast_cfg(nu=0.7, k=10, n=256, n_bulk=2,
@@ -613,7 +630,8 @@ class TestPerturbedSmoke:
         assert cli.run(command, cfg, str(tmp_path)) == 0
         verdicts = [l.rsplit(" ", 1)[1] for l in
                     capsys.readouterr().out.splitlines() if " (bound " in l]
-        assert verdicts and set(verdicts) == {"PASS"}
+        # uc-scan writes rows and a note but no check line
+        assert set(verdicts) == (set() if command == "uc-scan" else {"PASS"})
         csv, = tmp_path.glob("*.csv")
         assert "# perturbation = 0.8:0.1:0.4" in csv.read_text().splitlines()
 
@@ -825,9 +843,7 @@ def failed_line(tmp_path, command, check):
 
 # one row per check of the default check-all, by check name: (command,
 # module, name, faults), each fault a wrapper of module.name that fails the
-# check when command runs on the default config.  uc_sigma_min_monotone has
-# no row: nested row sets on one lattice cannot lower sigma_min, so no
-# fault fails it (ROADMAP item 12 replaces it).
+# check when command runs on the default config.
 FAULTS = {
     "mode_orthonormality": ("modes", am, "build_model", (modes_scaled,)),
     "fd_spectrum_agreement": ("modes", am, "fd_mode_frequencies",
@@ -862,9 +878,10 @@ FAULTS = {
                              (errors_rolled,)),
 }
 
-# the least value a fault gives: the default rung residuals 0.70, 0.46,
-# 2.0e-15, ... rise by 0.46 with the second and third rungs swapped
-FAULT_RISE = {"residual_monotone": 0.4}
+# the least value a fault gives: with the second and third rungs swapped,
+# the default rung residuals 0.70, 0.46, 2.0e-15, ... rise by 0.46, and the
+# Weyl errors by 0.350
+FAULT_RISE = {"residual_monotone": 0.4, "weyl_errors_decreasing": 0.3}
 
 
 def inject(monkeypatch, check, fault=None):
@@ -902,7 +919,7 @@ class TestVerifyChecksFail:
         assert cli.run("check-all", cli.RunConfig(), str(tmp_path)) == 0
         names = {l.split(" [")[0] for p in tmp_path.glob("*_report.txt")
                  for l in p.read_text().splitlines() if " (bound " in l}
-        assert names - {"uc_sigma_min_monotone"} == set(FAULTS)
+        assert names == set(FAULTS)
 
     def test_floor_rung_within_rounding_passes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hg, "_weyl_errors",
