@@ -35,9 +35,15 @@ Results are plain arrays and numbers (uc_scan gives the smallest singular
 value, nan when the region holds too few samples), and what cannot run at
 valid settings raises phase_core.ShapeError, which the front end reports
 with exit code 2.
+
+_jacobi_grid and fd_mode_frequencies are pure and memoized per process, for
+the last _MEMO_SIZE distinct arguments each (a perturbation is a key, so it
+should hash by value): an equal call gets the first call's arrays, bit for
+bit, read-only so that no caller can change them for a later one.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -49,6 +55,9 @@ from .phase_core import ShapeError
 # grid cells next to each wall that a perturbation and a bulk test
 # function must leave clear
 SUPPORT_MARGIN = 3
+
+# distinct arguments each memo keeps; a k_sweep pass needs 1 grid, 2 oracles
+_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,7 @@ def _boundary_amplitudes(lam, K):
     return beta_minus, beta_plus
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _jacobi_grid(nu_plus, N):
     """Interior nodes clustered at the walls, with weights for plain dx
     integration that integrate cos^{2 nu_+}(x) * polynomial(sin x) exactly."""
@@ -123,9 +133,11 @@ def _jacobi_grid(nu_plus, N):
     s, wj = roots_jacobi(N, a, a)
     x = np.arcsin(s)
     wq = wj * (1.0 - s * s) ** (-nu_plus)
+    x.flags.writeable = wq.flags.writeable = False
     return x, wq
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     """Finite-difference oracle for the first K frequencies.
 
@@ -163,7 +175,9 @@ def fd_mode_frequencies(nu, K, N=2000, perturbation=None):
     p = 2.0 + 2.0 * nu
     a = np.vstack([np.ones(3), h ** 2, h ** p]).T
     vals = np.vstack([raw(n) for n in ns])
-    return np.linalg.lstsq(a, vals, rcond=None)[0][0]
+    freqs = np.linalg.lstsq(a, vals, rcond=None)[0][0]
+    freqs.flags.writeable = False
+    return freqs
 
 
 def build_model(nu, K, N=512, perturbation=None):

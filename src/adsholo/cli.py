@@ -3,7 +3,9 @@ artifacts with full config echo, deterministic byte-for-byte output.
 
 A `run` call shares one memo (the checked model, its FD oracle, the ladder
 pass) among its experiments, which all run at the config they echo; each
-artifact equals its command's run alone.
+artifact equals its command's run alone.  The memo ends with the run; a
+process keeps only ads_model's memo of the quadrature rule and the FD
+oracle, whose read-only arrays equal a fresh build bit for bit.
 
 Exit codes: 0 every check within its bound (each bound is set in code, not
 in the config), 1 a check failed, 2 usage or configuration error
@@ -214,6 +216,19 @@ def parse_v_region(text):
     return tuple(rects)
 
 
+@dataclass(frozen=True)
+class Perturbation:
+    """W(x) = amp * mollifier((x - center) / width), as a value: equal
+    parses hash equal, so they share ads_model's oracle memo."""
+    amp: float
+    center: float
+    width: float
+
+    def __call__(self, x):
+        return self.amp * am.mollifier((np.asarray(x) - self.center)
+                                       / self.width)
+
+
 def parse_perturbation(text):
     if text == "none":
         return None
@@ -224,7 +239,7 @@ def parse_perturbation(text):
     amp, center, width = _finite_floats(bits, f"perturbation {text!r}")
     if width <= 0:
         raise ConfigError("perturbation width must be positive")
-    return lambda x: amp * am.mollifier((np.asarray(x) - center) / width)
+    return Perturbation(amp, center, width)
 
 
 def serialize_config(cfg):

@@ -161,6 +161,16 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="perturbation"):
             cli.parse_config_text("[model]\nperturbation = 1:2\n")
 
+    def test_perturbation_is_a_value(self):
+        # two parses of one text compare and hash equal, so they share the
+        # oracle memo, and the value is the mollifier bump on a model grid
+        w = cli.parse_perturbation("0.8:0.1:0.4")
+        assert w == cli.parse_perturbation("0.80:0.1:0.4")
+        assert hash(w) == hash(cli.parse_perturbation("0.8:0.1:0.4"))
+        assert w != cli.parse_perturbation("0.8:0.1:0.5")
+        x = am.build_model(0.7, 10, 256).x
+        assert np.array_equal(w(x), 0.8 * am.mollifier((x - 0.1) / 0.4))
+
     @pytest.mark.parametrize("section,key,value", [
         ("model", "nu", "nan"),
         ("model", "nu", "inf"),
@@ -554,8 +564,9 @@ class TestRunDispatch:
         # one FD oracle, one model (propagator's too, at the configured k)
         # and one dual-mapped dictionary, at one dual_boundary_matrix call
         # per bump center: the 80 bumps sit at 1 + 2 + 4 centers per
-        # component and 4 more on the first; the second run repeats them,
-        # so nothing outlives it
+        # component and 4 more on the first; the second run makes the same
+        # calls, so the run's memo does not outlive it (ads_model's
+        # memo serves both runs from inside the oracle and the build)
         calls = {}
         for name in ("fd_mode_frequencies", "build_model",
                      "dual_boundary_matrix"):
@@ -568,6 +579,34 @@ class TestRunDispatch:
             cli.run("check-all", cfg, str(tmp_path / out))
             assert calls == {"fd_mode_frequencies": 1, "build_model": 1,
                              "dual_boundary_matrix": 18}
+
+    @pytest.mark.parametrize("perturbation", ["none", "0.8:0.1:0.4"])
+    def test_runs_in_one_process_share_grid_and_oracle(self, tmp_path,
+                                                       monkeypatch,
+                                                       perturbation):
+        # four runs at one nu and n build one quadrature rule, and one
+        # oracle per min(k, 30) (three grids each); without the memo they
+        # call roots_jacobi 4 times and eigh_tridiagonal 12 times
+        am._jacobi_grid.cache_clear()
+        am.fd_mode_frequencies.cache_clear()
+        calls = {"roots_jacobi": 0, "eigh_tridiagonal": 0}
+        for name in calls:
+            monkeypatch.setattr(am, name, counted(calls, name,
+                                                  getattr(am, name)))
+        for k in (10, 40):
+            cfg = fast_cfg(nu=0.7, k=k, n=512, ladder="10,20", n_bulk=2,
+                           perturbation=perturbation)
+            for command in ("holo-inclusion", "uc-scan"):
+                assert cli.run(command, cfg, str(tmp_path / command)) == 0
+        # the runs' grid and k = 10 oracle, from the memo; they are
+        # read-only, so a caller cannot change them for a later run
+        model = am.build_model(0.7, 10, 512)
+        fd = am.fd_mode_frequencies(
+            0.7, 10, 2000, perturbation=cli.parse_perturbation(perturbation))
+        assert calls == {"roots_jacobi": 1, "eigh_tridiagonal": 6}
+        for shared in (model.x, model.wq, fd):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
 
     def test_check_all_builds_no_two_mode_fock_space(self, tmp_path,
                                                      monkeypatch):
